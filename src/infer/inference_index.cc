@@ -5,7 +5,6 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "io/corpus.h"
-#include "text/normalize.h"
 
 namespace stir::infer {
 
@@ -14,85 +13,106 @@ EvidenceBuilder::EvidenceBuilder(const geo::AdminDb* db)
   STIR_CHECK(db != nullptr);
 }
 
-void EvidenceBuilder::AddUser(twitter::UserId user) {
-  users_.try_emplace(user);
+void EvidenceBuilder::AddUser(twitter::UserId user) { Slot(user); }
+
+void EvidenceBuilder::Reserve(size_t users) {
+  slots_.reserve(users);
+  slot_of_.reserve(users);
+}
+
+UserEvidence& EvidenceBuilder::Slot(twitter::UserId user) {
+  auto [it, added] =
+      slot_of_.try_emplace(user, static_cast<uint32_t>(slots_.size()));
+  if (added) slots_.emplace_back().user = user;
+  return slots_[it->second];
+}
+
+RegionEvidence& EvidenceBuilder::RegionOf(UserEvidence& user,
+                                          geo::RegionId region) {
+  auto it = std::lower_bound(
+      user.regions.begin(), user.regions.end(), region,
+      [](const RegionEvidence& e, geo::RegionId id) { return e.region < id; });
+  if (it == user.regions.end() || it->region != region) {
+    it = user.regions.insert(it, RegionEvidence{region});
+  }
+  return *it;
 }
 
 void EvidenceBuilder::AddTweet(const twitter::Tweet& tweet) {
-  Accum& accum = users_[tweet.user];
-  ++accum.tweets;
+  UserEvidence& user = Slot(tweet.user);
+  ++user.tweets;
 
   if (tweet.gps.has_value()) {
     auto located = db_->Locate(*tweet.gps);
     if (located.ok()) {
-      RegionEvidence& region = accum.regions[*located];
-      region.region = *located;
+      RegionEvidence& region = RegionOf(user, *located);
       ++region.gps_tweets;
+      ++user.gps_tweets;
       if (IsNightHour(HourOfDay(tweet.time))) ++region.night_gps_tweets;
     }
   }
 
   if (!tweet.text.empty()) {
-    std::vector<std::string> tokens = text::TokenizeTweet(tweet.text);
-    for (const text::PhraseMatch& match : matcher_.Match(tokens)) {
-      // Only exact, unambiguous county mentions vote: a name shared by
-      // several states (six Korean metros have a "Jung-gu") or a fuzzy
-      // near-miss is noise, not evidence.
-      if (match.kind != text::PhraseKind::kCounty || match.fuzzy ||
-          match.regions.size() != 1) {
+    // Exact phrases only: a fuzzy near-miss is noise, not evidence, and
+    // the exact scan finds exactly the exact matches of the full Match.
+    text::TokenizeTweet(tweet.text, &tokens_);
+    matcher_.ScanExact(tokens_, &matches_);
+    for (const text::PhraseMatch& match : matches_) {
+      // Only unambiguous county mentions vote: a name shared by several
+      // states (six Korean metros have a "Jung-gu") is noise too.
+      const text::Phrase& phrase = *match.phrase;
+      if (phrase.kind != text::PhraseKind::kCounty ||
+          phrase.regions.size() != 1) {
         continue;
       }
-      RegionEvidence& region = accum.regions[match.regions.front()];
-      region.region = match.regions.front();
-      ++region.text_votes;
+      ++RegionOf(user, phrase.regions.front()).text_votes;
+      ++user.text_votes;
     }
   }
 }
 
-std::shared_ptr<const InferenceIndex> EvidenceBuilder::Build() const {
-  auto index = std::make_shared<InferenceIndex>();
-  index->db_ = db_;
-  index->users_.reserve(users_.size());
-  for (const auto& [user, accum] : users_) {
-    UserEvidence evidence;
-    evidence.user = user;
-    evidence.tweets = accum.tweets;
-    evidence.regions.reserve(accum.regions.size());
-    for (const auto& [region_id, region] : accum.regions) {
-      evidence.gps_tweets += region.gps_tweets;
-      evidence.text_votes += region.text_votes;
-      evidence.regions.push_back(region);
+InferenceIndex EvidenceBuilder::Snapshot() const {
+  const size_t sorted = id_order_.size();
+  if (sorted < slots_.size()) {
+    for (size_t slot = sorted; slot < slots_.size(); ++slot) {
+      id_order_.emplace_back(slots_[slot].user, static_cast<uint32_t>(slot));
     }
-    std::sort(evidence.regions.begin(), evidence.regions.end(),
-              [](const RegionEvidence& a, const RegionEvidence& b) {
-                return a.region < b.region;
-              });
-    index->users_.push_back(std::move(evidence));
+    auto added = id_order_.begin() + static_cast<std::ptrdiff_t>(sorted);
+    std::sort(added, id_order_.end());
+    std::inplace_merge(id_order_.begin(), added, id_order_.end());
   }
-  std::sort(index->users_.begin(), index->users_.end(),
-            [](const UserEvidence& a, const UserEvidence& b) {
-              return a.user < b.user;
-            });
+  InferenceIndex index;
+  index.db_ = db_;
+  index.users_.reserve(slots_.size());
+  for (const auto& [user, slot] : id_order_) {
+    index.users_.push_back(slots_[slot]);
+  }
   return index;
+}
+
+std::shared_ptr<const InferenceIndex> EvidenceBuilder::Build() const {
+  return std::make_shared<const InferenceIndex>(Snapshot());
 }
 
 InferenceIndex InferenceIndex::Build(const twitter::Dataset& dataset,
                                      const geo::AdminDb& db) {
   EvidenceBuilder builder(&db);
+  builder.Reserve(dataset.users().size());
   for (const twitter::User& user : dataset.users()) builder.AddUser(user.id);
   for (const twitter::Tweet& tweet : dataset.tweets()) {
     builder.AddTweet(tweet);
   }
-  return *builder.Build();
+  return builder.Snapshot();
 }
 
 InferenceIndex InferenceIndex::Build(const io::CorpusView& view,
                                      const geo::AdminDb& db) {
   EvidenceBuilder builder(&db);
-  twitter::Tweet tweet;
+  builder.Reserve(view.user_count());
   for (size_t row = 0; row < view.user_count(); ++row) {
     builder.AddUser(view.user_id(row));
   }
+  twitter::Tweet tweet;
   for (size_t row = 0; row < view.tweet_count(); ++row) {
     tweet.id = view.tweet_id(row);
     tweet.user = view.user_id(view.tweet_user_row(row));
@@ -105,7 +125,7 @@ InferenceIndex InferenceIndex::Build(const io::CorpusView& view,
     tweet.text.assign(view.tweet_text(row));
     builder.AddTweet(tweet);
   }
-  return *builder.Build();
+  return builder.Snapshot();
 }
 
 const UserEvidence* InferenceIndex::FindUser(twitter::UserId user) const {

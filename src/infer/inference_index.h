@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geo/admin_db.h"
 #include "text/gazetteer_matcher.h"
+#include "text/normalize.h"
 #include "twitter/dataset.h"
 #include "twitter/model.h"
 
@@ -81,20 +83,36 @@ class EvidenceBuilder {
   void AddTweet(const twitter::Tweet& tweet);
 
   /// Immutable value-determined snapshot: users ascending by id, regions
-  /// ascending by id within each user.
+  /// ascending by id within each user. A linear copy of the table, after
+  /// sorting only the users added since the previous Build().
   std::shared_ptr<const InferenceIndex> Build() const;
 
-  int64_t user_count() const { return static_cast<int64_t>(users_.size()); }
+  int64_t user_count() const { return static_cast<int64_t>(slots_.size()); }
 
  private:
-  struct Accum {
-    int64_t tweets = 0;
-    std::unordered_map<geo::RegionId, RegionEvidence> regions;
-  };
+  friend class InferenceIndex;
+
+  /// Batch builds know their user count up front.
+  void Reserve(size_t users);
+  /// The user's slot, created on first sight.
+  UserEvidence& Slot(twitter::UserId user);
+  /// The user's evidence for `region`, inserted in region order.
+  static RegionEvidence& RegionOf(UserEvidence& user, geo::RegionId region);
+  /// What Build() publishes, as a value.
+  InferenceIndex Snapshot() const;
 
   const geo::AdminDb* db_;
   text::GazetteerMatcher matcher_;
-  std::unordered_map<twitter::UserId, Accum> users_;
+  /// One slot per user in arrival order, each already in its published
+  /// form: regions ascending by id, totals kept as tweets fold.
+  std::vector<UserEvidence> slots_;
+  std::unordered_map<twitter::UserId, uint32_t> slot_of_;
+  /// (user id, slot) ascending, for the slots that existed at the last
+  /// snapshot; later slots are sorted and merged in by the next one.
+  mutable std::vector<std::pair<twitter::UserId, uint32_t>> id_order_;
+  /// Per-tweet scratch, reused so a fold allocates nothing once warm.
+  text::JoinedTokens tokens_;
+  std::vector<text::PhraseMatch> matches_;
 };
 
 /// Immutable per-user evidence index, the inference twin of

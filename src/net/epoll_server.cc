@@ -3,6 +3,7 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <string.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -333,6 +334,10 @@ void EpollServer::AcceptReady() {
       obs::IncrementCounter(m_dropped_);
       continue;
     }
+    // Responses are small and pipelined: with Nagle on, a response waits
+    // behind an unacknowledged earlier one until the client's delayed ACK.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_unique<Conn>();
     conn->id = next_conn_id_++;
     conn->in_fd = fd;

@@ -79,30 +79,38 @@ GazetteerMatcher::GazetteerMatcher(const geo::AdminDb* db) : db_(db) {
     }
   }
   std::sort(fuzzy_pool_.begin(), fuzzy_pool_.end());
+  for (const auto& [phrase, entry] : table_) {
+    const size_t space = phrase.find(' ');
+    Head& head = heads_[phrase.substr(0, space)];
+    if (space == std::string::npos) {
+      head.single = &entry;
+    } else {
+      head.max_tokens = std::max(head.max_tokens, CountTokens(phrase));
+    }
+  }
 }
 
 void GazetteerMatcher::AddPhrase(const std::string& phrase, PhraseKind kind,
                                  geo::RegionId region,
                                  const std::string& canonical) {
   if (phrase.empty()) return;
-  max_phrase_tokens_ = std::max(max_phrase_tokens_, CountTokens(phrase));
   auto it = table_.find(phrase);
   if (it == table_.end()) {
-    TableEntry entry;
+    Phrase entry;
     entry.kind = kind;
-    entry.canonical = canonical;
+    entry.name = canonical;
     if (region != geo::kInvalidRegion) entry.regions.push_back(region);
     table_.emplace(phrase, std::move(entry));
     return;
   }
-  TableEntry& entry = it->second;
+  Phrase& entry = it->second;
   // County entries win over state/country homonyms (a district lookup is
   // more specific); within counties, accumulate ambiguous candidates.
   if (kind == PhraseKind::kCounty) {
     if (entry.kind != PhraseKind::kCounty) {
       entry.kind = PhraseKind::kCounty;
       entry.regions.clear();
-      entry.canonical = canonical;
+      entry.name = canonical;
     }
     if (region != geo::kInvalidRegion &&
         std::find(entry.regions.begin(), entry.regions.end(), region) ==
@@ -112,70 +120,73 @@ void GazetteerMatcher::AddPhrase(const std::string& phrase, PhraseKind kind,
   }
 }
 
-std::vector<PhraseMatch> GazetteerMatcher::Match(
-    const std::vector<std::string>& tokens) const {
-  std::vector<PhraseMatch> matches;
+void GazetteerMatcher::ScanExact(const JoinedTokens& tokens,
+                                 std::vector<PhraseMatch>* matches) const {
+  matches->clear();
   size_t i = 0;
   while (i < tokens.size()) {
-    bool matched = false;
-    size_t longest = std::min(max_phrase_tokens_, tokens.size() - i);
-    for (size_t len = longest; len >= 1 && !matched; --len) {
-      std::string phrase = tokens[i];
-      for (size_t k = 1; k < len; ++k) {
-        phrase += ' ';
-        phrase += tokens[i + k];
-      }
-      auto it = table_.find(phrase);
-      if (it == table_.end()) continue;
-      PhraseMatch match;
-      match.kind = it->second.kind;
-      match.token_begin = i;
-      match.token_count = len;
-      match.regions = it->second.regions;
-      match.name = it->second.canonical;
-      matches.push_back(std::move(match));
-      i += len;
-      matched = true;
+    auto head = heads_.find(tokens[i]);
+    if (head == heads_.end()) {
+      ++i;
+      continue;
     }
-    if (matched) continue;
-
-    // Fuzzy pass: single token, length >= 6, edit distance exactly 1 to a
-    // unique pool entry.
-    const std::string& token = tokens[i];
-    if (token.size() >= 6) {
-      const std::string* hit = nullptr;
-      bool unique = true;
-      for (const std::string& candidate : fuzzy_pool_) {
-        // Cheap length filter before the DP.
-        if (candidate.size() + 1 < token.size() ||
-            token.size() + 1 < candidate.size()) {
-          continue;
-        }
-        if (BoundedEditDistance(token, candidate, 1) == 1) {
-          if (hit != nullptr) {
-            unique = false;
-            break;
-          }
-          hit = &candidate;
-        }
-      }
-      if (hit != nullptr && unique) {
-        auto it = table_.find(*hit);
-        PhraseMatch match;
-        match.kind = it->second.kind;
-        match.token_begin = i;
-        match.token_count = 1;
-        match.regions = it->second.regions;
-        match.name = it->second.canonical;
-        match.fuzzy = true;
-        matches.push_back(std::move(match));
-        ++i;
-        continue;
+    // The one-token phrase, unless a longer one starts here.
+    PhraseMatch match{i, 1, head->second.single};
+    for (size_t len = std::min(head->second.max_tokens, tokens.size() - i);
+         len > 1; --len) {
+      if (const Phrase* phrase = Find(tokens.Run(i, len))) {
+        match.phrase = phrase;
+        match.token_count = len;
+        break;
       }
     }
-    ++i;
+    if (match.phrase == nullptr) {
+      ++i;
+      continue;
+    }
+    matches->push_back(match);
+    i += match.token_count;
   }
+}
+
+std::vector<PhraseMatch> GazetteerMatcher::Match(
+    const std::vector<std::string>& tokens) const {
+  std::vector<PhraseMatch> exact;
+  ScanExact(JoinedTokens(tokens), &exact);
+
+  std::vector<PhraseMatch> matches;
+  // Fuzzy fallback at the uncovered tokens before `end`.
+  size_t next = 0;
+  auto fuzzy_until = [&](size_t end) {
+    for (; next < end; ++next) {
+      if (const Phrase* phrase = FuzzyHit(tokens[next])) {
+        matches.push_back({next, 1, phrase, /*fuzzy=*/true});
+      }
+    }
+  };
+  for (const PhraseMatch& match : exact) {
+    fuzzy_until(match.token_begin);
+    matches.push_back(match);
+    next = match.token_begin + match.token_count;
+  }
+  fuzzy_until(tokens.size());
   return matches;
+}
+
+const Phrase* GazetteerMatcher::FuzzyHit(std::string_view token) const {
+  if (token.size() < 6) return nullptr;
+  const std::string* hit = nullptr;
+  for (const std::string& candidate : fuzzy_pool_) {
+    if (!EditDistanceIsOne(token, candidate)) continue;
+    if (hit != nullptr) return nullptr;  // Not unique.
+    hit = &candidate;
+  }
+  return hit == nullptr ? nullptr : Find(*hit);
+}
+
+const Phrase* GazetteerMatcher::Find(std::string_view phrase) const {
+  auto it = table_.find(phrase);
+  return it == table_.end() ? nullptr : &it->second;
 }
 
 }  // namespace stir::text

@@ -1,12 +1,14 @@
 #ifndef STIR_TEXT_GAZETTEER_MATCHER_H_
 #define STIR_TEXT_GAZETTEER_MATCHER_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "geo/admin_db.h"
+#include "text/normalize.h"
 
 namespace stir::text {
 
@@ -17,20 +19,26 @@ enum class PhraseKind {
   kCountry,  ///< A country name or common alias ("korea", "usa").
 };
 
-/// One phrase match inside a token sequence.
-struct PhraseMatch {
+/// One gazetteer phrase table entry.
+struct Phrase {
   PhraseKind kind = PhraseKind::kCounty;
-  size_t token_begin = 0;  ///< First token index of the phrase.
-  size_t token_count = 0;  ///< Number of tokens covered.
   /// Candidate regions for kCounty (size > 1 when the name is ambiguous
   /// across states). Empty for kState/kCountry.
   std::vector<geo::RegionId> regions;
-  std::string name;  ///< Canonical matched name (state/country) or phrase.
+  std::string name;  ///< Canonical name (state/country) or phrase.
+};
+
+/// One phrase match inside a token sequence.
+struct PhraseMatch {
+  size_t token_begin = 0;  ///< First token index of the phrase.
+  size_t token_count = 0;  ///< Number of tokens covered.
+  const Phrase* phrase = nullptr;  ///< Owned by the matcher.
   bool fuzzy = false;  ///< Matched via edit distance 1, not exactly.
 };
 
 /// Phrase-table matcher from free text to gazetteer entries. Built once
-/// per AdminDb; lookups are O(tokens * max_phrase_len).
+/// per AdminDb; the exact scan costs one hash probe per token, plus one
+/// per longer phrase length at tokens that begin a multi-word phrase.
 ///
 /// Handles multi-word names ("gold coast", "new york"), aliases recorded
 /// in the gazetteer ("Yangchun-gu" for Yangcheon-gu), country aliases,
@@ -41,27 +49,57 @@ class GazetteerMatcher {
   /// `db` must outlive the matcher.
   explicit GazetteerMatcher(const geo::AdminDb* db);
 
-  /// All non-overlapping matches in `tokens`, longest-phrase-first greedy
-  /// scan from the left.
+  /// Exact phrase matches in `tokens`, longest phrase first, greedy from
+  /// the left, non-overlapping. Replaces *matches.
+  void ScanExact(const JoinedTokens& tokens,
+                 std::vector<PhraseMatch>* matches) const;
+
+  /// All non-overlapping matches: the exact scan, plus the fuzzy fallback
+  /// at every token no exact phrase covers. A fuzzy hit covers one token,
+  /// as a miss does, so it never changes which exact phrases are found.
+  /// Tokens are as Tokenize or TokenizeTweet produce them.
   std::vector<PhraseMatch> Match(const std::vector<std::string>& tokens) const;
+
+  /// The table entry for one normalized phrase (tokens joined by single
+  /// spaces), or null.
+  const Phrase* Find(std::string_view phrase) const;
+
+  /// Single-token county phrases the fuzzy fallback compares against,
+  /// sorted.
+  const std::vector<std::string>& fuzzy_pool() const { return fuzzy_pool_; }
 
   const geo::AdminDb& db() const { return *db_; }
 
  private:
-  struct TableEntry {
-    PhraseKind kind;
-    std::vector<geo::RegionId> regions;  // counties only
-    std::string canonical;
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  template <typename Value>
+  using StringMap =
+      std::unordered_map<std::string, Value, StringHash, std::equal_to<>>;
+
+  /// What a phrase's first token can start: the one-token phrase, if any,
+  /// and the token count of the longest phrase beginning with it.
+  struct Head {
+    const Phrase* single = nullptr;
+    size_t max_tokens = 1;
   };
 
   void AddPhrase(const std::string& phrase, PhraseKind kind,
                  geo::RegionId region, const std::string& canonical);
+  /// The unique fuzzy-pool phrase at edit distance exactly 1 from
+  /// `token`, or null.
+  const Phrase* FuzzyHit(std::string_view token) const;
 
   const geo::AdminDb* db_;
-  std::unordered_map<std::string, TableEntry> table_;
+  StringMap<Phrase> table_;
+  /// Keyed by the first token of every phrase.
+  StringMap<Head> heads_;
   /// Single-token county phrases for the fuzzy pass.
   std::vector<std::string> fuzzy_pool_;
-  size_t max_phrase_tokens_ = 1;
 };
 
 }  // namespace stir::text

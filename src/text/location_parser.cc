@@ -78,9 +78,9 @@ ParsedLocation LocationParser::ParseSingle(std::string_view piece) const {
   bool saw_country = false;
   bool used_fuzzy = false;
   for (const PhraseMatch& match : matches) {
-    switch (match.kind) {
+    switch (match.phrase->kind) {
       case PhraseKind::kCounty:
-        for (geo::RegionId id : match.regions) {
+        for (geo::RegionId id : match.phrase->regions) {
           if (std::find(county_candidates.begin(), county_candidates.end(),
                         id) == county_candidates.end()) {
             county_candidates.push_back(id);
@@ -89,7 +89,7 @@ ParsedLocation LocationParser::ParseSingle(std::string_view piece) const {
         used_fuzzy |= match.fuzzy;
         break;
       case PhraseKind::kState:
-        state_names.push_back(match.name);
+        state_names.push_back(match.phrase->name);
         break;
       case PhraseKind::kCountry:
         saw_country = true;

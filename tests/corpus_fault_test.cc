@@ -8,6 +8,7 @@
 #include "io/corpus.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -21,8 +22,11 @@
 namespace stir::io {
 namespace {
 
+/// A name in the temp directory unique to this process: ctest runs each
+/// case in its own process, possibly several at once.
 std::filesystem::path TempPath(const char* name) {
-  return std::filesystem::temp_directory_path() / name;
+  return std::filesystem::temp_directory_path() /
+         (std::to_string(::getpid()) + "_" + name);
 }
 
 void AddUser(twitter::Dataset* dataset, twitter::UserId id,

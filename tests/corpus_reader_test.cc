@@ -1,6 +1,7 @@
 #include "io/corpus_reader.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -13,8 +14,11 @@
 namespace stir::io {
 namespace {
 
+/// A name in the temp directory unique to this process: ctest runs each
+/// case in its own process, possibly several at once.
 std::filesystem::path TempPath(const char* name) {
-  return std::filesystem::temp_directory_path() / name;
+  return std::filesystem::temp_directory_path() /
+         (std::to_string(::getpid()) + "_" + name);
 }
 
 /// One generated corpus persisted in all three formats. The fixture is

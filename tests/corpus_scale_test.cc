@@ -10,6 +10,7 @@
 //    also runs under the ASan lane (see tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -24,8 +25,11 @@
 namespace stir::io {
 namespace {
 
+/// A name in the temp directory unique to this process: ctest runs each
+/// case in its own process, possibly several at once.
 std::filesystem::path TempPath(const std::string& name) {
-  return std::filesystem::temp_directory_path() / name;
+  return std::filesystem::temp_directory_path() /
+         (std::to_string(::getpid()) + "_" + name);
 }
 
 // The heavyweight suite is opt-in: labels don't exclude tests from a

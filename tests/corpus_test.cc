@@ -1,6 +1,7 @@
 #include "io/corpus.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -14,8 +15,11 @@
 namespace stir::io {
 namespace {
 
+/// A name in the temp directory unique to this process: ctest runs each
+/// case in its own process, possibly several at once.
 std::filesystem::path TempPath(const char* name) {
-  return std::filesystem::temp_directory_path() / name;
+  return std::filesystem::temp_directory_path() /
+         (std::to_string(::getpid()) + "_" + name);
 }
 
 /// A small mixed corpus: some users with GPS tweets, some without, one

@@ -4,19 +4,24 @@
 // round-trip, the blindness contract (corrupting profile strings and the
 // truth sidecar leaves predictions byte-identical), determinism of
 // infer_user responses across worker counts and across the three corpus
-// formats, and streaming-seal equivalence with the batch build.
+// formats, streaming-seal equivalence with the batch build, and a
+// paper-literal evidence oracle the optimised builder must match.
 // Labelled `infer`; runs in the TSan lane.
 
 #include "infer/home_inferrer.h"
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/random.h"
 #include "core/study.h"
 #include "core/study_config.h"
 #include "geo/admin_db.h"
@@ -29,6 +34,8 @@
 #include "serve/server.h"
 #include "serve/study_index.h"
 #include "stream/engine.h"
+#include "text/gazetteer_matcher.h"
+#include "text/normalize.h"
 #include "twitter/column_store.h"
 #include "twitter/dataset.h"
 #include "twitter/generator.h"
@@ -315,6 +322,162 @@ TEST(TruthSidecarTest, RoundTripsRecordsThroughDisk) {
   const std::string bogus = (dir / "bogus.truth").string();
   std::ofstream(bogus) << "not a sidecar\n1\t2\t3\n";
   EXPECT_FALSE(io::ReadTruthSidecar(bogus).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Evidence oracle: a paper-literal fold that shares nothing with the
+// builder but the gazetteer, its matcher's full Match and AdminDb::Locate.
+
+struct OracleRegion {
+  int64_t gps_tweets = 0;
+  int64_t night_gps_tweets = 0;
+  int64_t text_votes = 0;
+};
+struct OracleUser {
+  int64_t tweets = 0;
+  std::map<geo::RegionId, OracleRegion> regions;
+};
+using OracleEvidence = std::map<twitter::UserId, OracleUser>;
+
+OracleEvidence OracleFold(const twitter::Dataset& dataset, const AdminDb& db) {
+  text::GazetteerMatcher matcher(&db);
+  OracleEvidence users;
+  for (const twitter::User& user : dataset.users()) users[user.id];
+  for (const twitter::Tweet& tweet : dataset.tweets()) {
+    OracleUser& user = users[tweet.user];
+    ++user.tweets;
+    if (tweet.gps.has_value()) {
+      auto located = db.Locate(*tweet.gps);
+      if (located.ok()) {
+        OracleRegion& region = user.regions[*located];
+        ++region.gps_tweets;
+        if (IsNightHour(HourOfDay(tweet.time))) ++region.night_gps_tweets;
+      }
+    }
+    for (const text::PhraseMatch& match :
+         matcher.Match(text::TokenizeTweet(tweet.text))) {
+      if (match.phrase->kind == text::PhraseKind::kCounty && !match.fuzzy &&
+          match.phrase->regions.size() == 1) {
+        ++user.regions[match.phrase->regions.front()].text_votes;
+      }
+    }
+  }
+  return users;
+}
+
+void ExpectMatchesOracle(const InferenceIndex& index,
+                         const OracleEvidence& oracle,
+                         const std::string& label) {
+  ASSERT_EQ(index.user_count(), oracle.size()) << label;
+  auto expected = oracle.begin();
+  for (const UserEvidence& user : index.users()) {
+    SCOPED_TRACE(label + " user " + std::to_string(user.user));
+    ASSERT_EQ(user.user, expected->first);
+    const OracleUser& want = expected->second;
+    EXPECT_EQ(user.tweets, want.tweets);
+    int64_t gps_tweets = 0;
+    int64_t text_votes = 0;
+    for (const auto& [id, region] : want.regions) {
+      gps_tweets += region.gps_tweets;
+      text_votes += region.text_votes;
+    }
+    EXPECT_EQ(user.gps_tweets, gps_tweets);
+    EXPECT_EQ(user.text_votes, text_votes);
+    ASSERT_EQ(user.regions.size(), want.regions.size());
+    auto want_region = want.regions.begin();
+    for (const RegionEvidence& region : user.regions) {
+      EXPECT_EQ(region.region, want_region->first);
+      EXPECT_EQ(region.gps_tweets, want_region->second.gps_tweets);
+      EXPECT_EQ(region.night_gps_tweets, want_region->second.night_gps_tweets);
+      EXPECT_EQ(region.text_votes, want_region->second.text_votes);
+      ++want_region;
+    }
+    ++expected;
+  }
+}
+
+twitter::GeneratedData GenerateForOracle(uint64_t seed) {
+  twitter::DatasetGeneratorOptions options =
+      twitter::DatasetGenerator::KoreanConfig(0.02);
+  options.seed = seed;
+  options.mobility.night_home_bias = 0.65;
+  return twitter::DatasetGenerator(&AdminDb::KoreanDistricts(), options)
+      .Generate();
+}
+
+TEST(EvidenceOracleTest, BatchBuildsMatchThePaperLiteralFold) {
+  const AdminDb& db = AdminDb::KoreanDistricts();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("stir_infer_oracle_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  for (uint64_t seed : {1u, 7u, 7777u}) {
+    const std::string label = "seed " + std::to_string(seed);
+    twitter::GeneratedData data = GenerateForOracle(seed);
+    const OracleEvidence oracle = OracleFold(data.dataset, db);
+    int64_t text_votes = 0;
+    for (const auto& [id, user] : oracle) {
+      for (const auto& [region_id, region] : user.regions) {
+        text_votes += region.text_votes;
+      }
+    }
+    EXPECT_GT(text_votes, 0) << label;
+
+    ExpectMatchesOracle(InferenceIndex::Build(data.dataset, db), oracle,
+                        label + " (dataset)");
+    const std::string path = (dir / (std::to_string(seed) + ".stir")).string();
+    ASSERT_TRUE(io::CorpusWriter::WriteDataset(data.dataset, path).ok());
+    auto view = io::CorpusView::Open(path);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    ExpectMatchesOracle(InferenceIndex::Build(*view, db), oracle,
+                        label + " (view)");
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(EvidenceOracleTest, ShuffledArrivalsWithBuildsBetweenMatchTheBatchBuild) {
+  const AdminDb& db = AdminDb::KoreanDistricts();
+  twitter::GeneratedData data = GenerateForOracle(7);
+  const std::vector<twitter::User>& users = data.dataset.users();
+  std::map<twitter::UserId, std::vector<const twitter::Tweet*>> tweets_of;
+  for (const twitter::Tweet& tweet : data.dataset.tweets()) {
+    tweets_of[tweet.user].push_back(&tweet);
+  }
+
+  std::vector<twitter::UserId> arrival;
+  for (const twitter::User& user : users) arrival.push_back(user.id);
+  Rng rng(42);
+  rng.Shuffle(arrival);
+
+  // Users arrive in shuffled id order, a quarter between each Build();
+  // every snapshot equals the batch build over the users seen so far.
+  EvidenceBuilder builder(&db);
+  std::map<twitter::UserId, bool> seen;
+  const size_t quarter = arrival.size() / 4 + 1;
+  for (size_t begin = 0; begin < arrival.size(); begin += quarter) {
+    const size_t end = std::min(arrival.size(), begin + quarter);
+    for (size_t i = begin; i < end; ++i) {
+      builder.AddUser(arrival[i]);
+      seen[arrival[i]] = true;
+    }
+    for (size_t i = begin; i < end; ++i) {
+      for (const twitter::Tweet* tweet : tweets_of[arrival[i]]) {
+        builder.AddTweet(*tweet);
+      }
+    }
+    twitter::Dataset prefix;
+    for (const twitter::User& user : users) {
+      if (seen.count(user.id) != 0) prefix.AddUser(user);
+    }
+    for (const twitter::Tweet& tweet : data.dataset.tweets()) {
+      if (seen.count(tweet.user) != 0) prefix.AddTweet(tweet);
+    }
+    EXPECT_EQ(Fingerprint(*builder.Build()),
+              Fingerprint(InferenceIndex::Build(prefix, db)))
+        << end << " of " << arrival.size() << " users";
+  }
+  EXPECT_EQ(Fingerprint(*builder.Build()),
+            Fingerprint(InferenceIndex::Build(data.dataset, db)));
 }
 
 // ---------------------------------------------------------------------------

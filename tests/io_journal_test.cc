@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/crc32c.h"
+#include "common/random.h"
 #include "geo/geocode_journal.h"
 #include "io/atomic_file.h"
 #include "io/serialize.h"
@@ -47,6 +48,39 @@ TEST(Crc32cTest, KnownVectors) {
   state = Crc32cExtend(state, "12345");
   state = Crc32cExtend(state, "6789");
   EXPECT_EQ(Crc32cFinish(state), Crc32c("123456789"));
+}
+
+/// Byte-at-a-time, bit-at-a-time CRC-32C: the reference the library's
+/// sliced form must reproduce.
+uint32_t BytewiseCrc32c(std::string_view data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (char c : data) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32cTest, MatchesBytewiseReferenceOnSeededBuffers) {
+  Rng rng(0xC3C32C);
+  std::string buffer(1 << 20, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.Next() & 0xFFu);
+  const std::string_view view(buffer);
+  EXPECT_EQ(Crc32c(view), BytewiseCrc32c(view));
+  // Unaligned starts and lengths that leave every tail size.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const std::string_view slice = view.substr(offset, 1000 + 3 * offset);
+    EXPECT_EQ(Crc32c(slice), BytewiseCrc32c(slice)) << offset;
+  }
+  // Every split point of a 64-byte buffer through the incremental form.
+  const std::string_view small = view.substr(0, 64);
+  for (size_t split = 0; split <= small.size(); ++split) {
+    uint32_t state = Crc32cExtend(kCrc32cInit, small.substr(0, split));
+    state = Crc32cExtend(state, small.substr(split));
+    EXPECT_EQ(Crc32cFinish(state), BytewiseCrc32c(small)) << split;
+  }
 }
 
 TEST(SerializeTest, RoundTrip) {

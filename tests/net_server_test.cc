@@ -10,6 +10,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -273,6 +274,8 @@ class Client {
     }
   }
 
+  int fd() const { return fd_; }
+
  private:
   int fd_ = -1;
   std::string buffer_;
@@ -516,6 +519,62 @@ TEST_F(NetServerTest, SlowLorisNeverBlocksOtherConnections) {
   loris.Close();
   net.Stop();
   EXPECT_EQ(net.stats().live, 0);
+}
+
+/// The socket in this process at the other end of `client_fd` (the
+/// server runs in-process), or -1.
+int AcceptedPeerOf(int client_fd) {
+  auto endpoints = [](int fd, sockaddr_in* local, sockaddr_in* peer) {
+    socklen_t len = sizeof(*local);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(local), &len) != 0 ||
+        local->sin_family != AF_INET) {
+      return false;
+    }
+    len = sizeof(*peer);
+    return ::getpeername(fd, reinterpret_cast<sockaddr*>(peer), &len) == 0;
+  };
+  auto same = [](const sockaddr_in& a, const sockaddr_in& b) {
+    return a.sin_addr.s_addr == b.sin_addr.s_addr && a.sin_port == b.sin_port;
+  };
+  sockaddr_in client_local{};
+  sockaddr_in client_peer{};
+  if (!endpoints(client_fd, &client_local, &client_peer)) return -1;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    const int fd = std::stoi(entry.path().filename().string());
+    sockaddr_in local{};
+    sockaddr_in peer{};
+    if (fd != client_fd && endpoints(fd, &local, &peer) &&
+        same(local, client_peer) && same(peer, client_local)) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+TEST_F(NetServerTest, AcceptedSocketsDisableNagle) {
+  ServeOptions options;
+  options.workers = 1;
+  Server server(index_, options);
+  EpollServer net(&server, NetOptions{});
+  ASSERT_TRUE(net.Listen(0).ok());
+  ASSERT_TRUE(net.Start().ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect(net.port()));
+  // A round trip proves the loop has accepted the connection.
+  ASSERT_TRUE(client.Send("{\"v\":1,\"id\":1,\"method\":\"topk_summary\"}\n"));
+  EXPECT_EQ(ResponseId(client.ReadLine()), 1);
+
+  const int accepted = AcceptedPeerOf(client.fd());
+  ASSERT_GE(accepted, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  EXPECT_NE(nodelay, 0);
+  client.Close();
+  net.Stop();
 }
 
 TEST_F(NetServerTest, MidRequestDisconnectLeavesOthersIntact) {
