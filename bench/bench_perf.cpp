@@ -19,11 +19,11 @@
 #include <filesystem>
 
 #include "bench_util.h"
+#include "common/logging.h"
 #include "core/study.h"
 #include "geo/reverse_geocoder.h"
 #include "io/corpus.h"
 #include "text/location_parser.h"
-#include "twitter/column_store.h"
 #include "twitter/generator.h"
 
 namespace {
@@ -158,8 +158,8 @@ BENCHMARK(BM_FullStudyThreads)
     ->UseRealTime();
 
 // Full study off the mmapped v3 arena view (generated once per Arg into
-// a temp file): the zero-copy counterpart of BM_FullStudy, so the two
-// rows price the columnar path against the row-store baseline directly.
+// a temp file). BM_FullStudy runs the same view study behind the Dataset
+// adapter, so the gap between the two rows is the in-memory encode.
 void BM_FullStudyArena(benchmark::State& state) {
   const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
   double scale = static_cast<double>(state.range(0)) / 1000.0;
@@ -232,26 +232,31 @@ void BM_ScanRowStore(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanRowStore);
 
-void BM_ScanColumnStore(benchmark::State& state) {
-  static const twitter::TweetColumnStore& store =
-      *new twitter::TweetColumnStore(
-          twitter::TweetColumnStore::FromDataset(ScanCorpus()));
+// The same GPS/time scan over the arena columns (the dataset's in-memory
+// image, as CorrelationStudy::Run(Dataset) reads it).
+void BM_ScanArena(benchmark::State& state) {
+  static const io::CorpusView& view = *new io::CorpusView([] {
+    auto image = io::CorpusView::FromDataset(ScanCorpus());
+    STIR_CHECK(image.ok()) << image.status().ToString();
+    return std::move(*image);
+  }());
   for (auto _ : state) {
     int64_t gps = 0;
     SimTime latest = 0;
-    const auto& times = store.times();
-    store.ForEachGps([&](size_t i, const geo::LatLng&) {
-      ++gps;
-      latest = std::max(latest, times[i]);
-    });
+    for (size_t row = 0; row < view.tweet_count(); ++row) {
+      if (view.tweet_has_gps(row)) {
+        ++gps;
+        latest = std::max(latest, view.tweet_time(row));
+      }
+    }
     benchmark::DoNotOptimize(gps);
     benchmark::DoNotOptimize(latest);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(store.size()));
-  state.counters["bytes"] = static_cast<double>(store.MemoryBytes());
+                          static_cast<int64_t>(view.tweet_count()));
+  state.counters["bytes"] = static_cast<double>(view.bytes_mapped());
 }
-BENCHMARK(BM_ScanColumnStore);
+BENCHMARK(BM_ScanArena);
 
 // Console output plus a side-channel collecting (name, iterations,
 // ns/op) per measured run for the --json file. Aggregate rows (mean/

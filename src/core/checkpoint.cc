@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "core/study_config.h"
 #include "io/atomic_file.h"
+#include "io/corpus.h"
 #include "io/serialize.h"
 #include "io/snapshot.h"
 
@@ -29,6 +30,7 @@ void PutFunnel(io::BinaryWriter& w, const FunnelStats& stats) {
   w.I64(stats.geocode_retried);
   w.I64(stats.geocode_degraded);
   w.I64(stats.backoff_ms);
+  w.I64(stats.corrupt_window_users);
 }
 
 bool GetFunnel(io::BinaryReader& r, FunnelStats* stats) {
@@ -44,6 +46,7 @@ bool GetFunnel(io::BinaryReader& r, FunnelStats* stats) {
   ok = ok && r.I64(&stats->geocode_retried);
   ok = ok && r.I64(&stats->geocode_degraded);
   ok = ok && r.I64(&stats->backoff_ms);
+  ok = ok && r.I64(&stats->corrupt_window_users);
   return ok;
 }
 
@@ -152,17 +155,17 @@ StatusOr<StudyCheckpoint> StudyCheckpoint::Deserialize(
   return checkpoint;
 }
 
-uint64_t DatasetFingerprint(const twitter::Dataset& dataset) {
+uint64_t CorpusFingerprint(const io::CorpusView& corpus) {
   uint64_t h = Fnv1a64("stir.dataset");
-  h = HashCombine(h, dataset.users().size());
-  h = HashCombine(h, static_cast<uint64_t>(dataset.total_tweet_count()));
-  h = HashCombine(h, static_cast<uint64_t>(dataset.gps_tweet_count()));
-  for (const twitter::User& user : dataset.users()) {
-    h = HashCombine(h, static_cast<uint64_t>(user.id));
-    h = HashCombine(h, static_cast<uint64_t>(user.total_tweets));
-    h = HashCombine(h, Fnv1a64(user.profile_location));
+  h = HashCombine(h, corpus.user_count());
+  h = HashCombine(h, static_cast<uint64_t>(corpus.total_tweet_count()));
+  h = HashCombine(h, static_cast<uint64_t>(corpus.gps_tweet_count()));
+  for (size_t row = 0; row < corpus.user_count(); ++row) {
+    h = HashCombine(h, static_cast<uint64_t>(corpus.user_id(row)));
+    h = HashCombine(h, static_cast<uint64_t>(corpus.user_total_tweets(row)));
+    h = HashCombine(h, Fnv1a64(corpus.user_profile_location(row)));
   }
-  h = HashCombine(h, dataset.tweets().size());
+  h = HashCombine(h, corpus.tweet_count());
   return Mix64(h);
 }
 

@@ -10,10 +10,13 @@
 #include "common/status.h"
 #include "core/refinement.h"
 #include "io/options.h"
-#include "twitter/dataset.h"
 
 namespace stir {
 struct StudyConfig;
+}
+
+namespace stir::io {
+class CorpusView;
 }
 
 namespace stir::core {
@@ -21,7 +24,7 @@ namespace stir::core {
 /// Refinement progress of one shard: everything needed to restart the
 /// shard's loop at `next_user` as if it had never stopped.
 struct ShardProgress {
-  /// Absolute dataset user index the shard resumes at (== its shard `end`
+  /// Absolute corpus user row the shard resumes at (== its shard `end`
   /// once the shard has finished).
   int64_t next_user = 0;
   bool done = false;
@@ -62,8 +65,10 @@ struct StudyCheckpoint {
   static StatusOr<StudyCheckpoint> Deserialize(std::string_view payload);
 };
 
-/// Stable fingerprints for resume validation.
-uint64_t DatasetFingerprint(const twitter::Dataset& dataset);
+/// Stable fingerprints for resume validation. The corpus fingerprint
+/// covers the user table and the tweet counts, so it is the same for a
+/// corpus file and for the in-memory image of the dataset it holds.
+uint64_t CorpusFingerprint(const io::CorpusView& corpus);
 /// Hashes the result-affecting config knobs (threads, tie-break,
 /// refinement, fault schedule, retry, geocoder quota/cache). Durability,
 /// crash-point, and observability knobs are deliberately excluded: the

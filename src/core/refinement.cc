@@ -42,18 +42,14 @@ void FunnelStats::AccumulateUserCounts(const FunnelStats& other) {
 
 RefinementPipeline::RefinementPipeline(const text::LocationParser* parser,
                                        geo::ReverseGeocoder* geocoder,
-                                       RefinementOptions options)
-    : parser_(parser), geocoder_(geocoder), options_(options) {
+                                       const StudyConfig& config)
+    : parser_(parser),
+      geocoder_(geocoder),
+      options_(config.refinement),
+      metrics_(config.obs.metrics),
+      tracer_(config.obs.tracer) {
   STIR_CHECK(parser != nullptr);
   STIR_CHECK(geocoder != nullptr);
-}
-
-RefinementPipeline::RefinementPipeline(const text::LocationParser* parser,
-                                       geo::ReverseGeocoder* geocoder,
-                                       const StudyConfig& config)
-    : RefinementPipeline(parser, geocoder, config.refinement) {
-  metrics_ = config.obs.metrics;
-  tracer_ = config.obs.tracer;
   if (metrics_ != nullptr) {
     stage_parse_us_ = metrics_->GetCounter("funnel.stage.profile_parse_us");
     stage_geocode_us_ = metrics_->GetCounter("funnel.stage.geocode_us");
@@ -145,45 +141,6 @@ void RefinementPipeline::ApplyFold(const TweetFold& fold, FunnelStats* stats,
   }
 }
 
-bool RefinementPipeline::RefineUser(const twitter::Dataset& dataset,
-                                    const twitter::User& user,
-                                    FunnelStats& stats,
-                                    RefinedUser* out) const {
-  text::ParsedLocation parsed;
-  if (stage_parse_us_ != nullptr) {
-    std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-    parsed = parser_->Parse(user.profile_location);
-    stage_parse_us_->Increment(ElapsedUs(t0));
-  } else {
-    parsed = parser_->Parse(user.profile_location);
-  }
-  ++stats.quality_counts[static_cast<int>(parsed.quality)];
-  if (parsed.quality != text::LocationQuality::kWellDefined) return false;
-  ++stats.well_defined_users;
-
-  std::chrono::steady_clock::time_point geocode_t0;
-  if (stage_geocode_us_ != nullptr) {
-    geocode_t0 = std::chrono::steady_clock::now();
-  }
-  out->user = user.id;
-  out->profile_region = parsed.region;
-  out->total_tweets = user.total_tweets;
-  out->tweet_regions.clear();
-  for (size_t index : dataset.TweetIndicesOf(user.id)) {
-    const twitter::Tweet& tweet = dataset.tweets()[index];
-    if (!tweet.gps.has_value()) continue;
-    TweetFold fold =
-        FoldTweet(tweet, static_cast<int64_t>(index), parsed.region);
-    ApplyFold(fold, &stats, &out->tweet_regions);
-  }
-  if (stage_geocode_us_ != nullptr) {
-    stage_geocode_us_->Increment(ElapsedUs(geocode_t0));
-  }
-  if (out->tweet_regions.empty()) return false;
-  ++stats.final_users;
-  return true;
-}
-
 bool RefinementPipeline::RefineUser(
     const io::CorpusView& corpus, size_t user_row, FunnelStats& stats,
     RefinedUser* out,
@@ -246,8 +203,7 @@ bool RefinementPipeline::RefineUser(
     if (!corpus.tweet_has_gps(row)) continue;
     // The tweet row doubles as the fault key: for a corpus written in
     // dataset order it equals the tweet's dataset index, so the fault
-    // schedule — and with it every downstream byte — matches the
-    // Dataset overload.
+    // schedule matches the stream engine's dataset-index keys.
     TweetFold fold = FoldTweet(corpus.tweet_gps(row), corpus.tweet_text(row),
                                static_cast<int64_t>(row), parsed->region);
     ApplyFold(fold, &stats, &out->tweet_regions);
@@ -296,118 +252,8 @@ void RefinementPipeline::PublishFunnelMetrics(const FunnelStats& stats) const {
 }
 
 std::vector<RefinedUser> RefinementPipeline::Run(
-    const twitter::Dataset& dataset, FunnelStats* funnel,
+    const io::CorpusView& corpus, FunnelStats* funnel,
     common::ThreadPool* pool, StudyCheckpointer* checkpointer) const {
-  obs::Tracer::ScopedSpan refinement_span(tracer_, "refinement");
-  FunnelStats local;
-  FunnelStats& stats = funnel != nullptr ? *funnel : local;
-  stats = FunnelStats{};
-  stats.crawled_users = static_cast<int64_t>(dataset.users().size());
-  stats.total_tweets = dataset.total_tweet_count();
-  stats.gps_tweets = dataset.gps_tweet_count();
-
-  const std::vector<twitter::User>& users = dataset.users();
-  size_t shards = common::NumShards(pool, users.size());
-  if (checkpointer != nullptr) checkpointer->InitShards(shards);
-  std::vector<RefinedUser> refined;
-  if (shards <= 1) {
-    size_t start = 0;
-    if (checkpointer != nullptr) {
-      // The serial path checkpoints the whole funnel (globals included),
-      // so restoring is a plain assignment.
-      if (const ShardProgress* restored = checkpointer->RestoredShard(0)) {
-        stats = restored->stats;
-        start = static_cast<size_t>(restored->next_user);
-        refined = checkpointer->TakeRestoredShardRefined(0);
-      }
-    }
-    RefinedUser candidate;
-    for (size_t i = start; i < users.size(); ++i) {
-      if (RefineUser(dataset, users[i], stats, &candidate)) {
-        refined.push_back(std::move(candidate));
-        candidate = RefinedUser{};
-      }
-      if (checkpointer != nullptr) {
-        checkpointer->NoteUserProcessed(0, static_cast<int64_t>(i + 1), stats,
-                                        refined, i + 1 == users.size());
-        if (checkpointer->ShouldStop()) break;
-      }
-    }
-  } else {
-    // Contiguous user shards, each with private outputs; the
-    // shard-ordered merge below makes the result independent of
-    // execution interleaving.
-    std::vector<FunnelStats> shard_stats(shards);
-    std::vector<std::vector<RefinedUser>> shard_refined(shards);
-    int64_t parent_span = refinement_span.id();
-    common::ParallelForShards(
-        pool, users.size(),
-        [&](size_t shard, size_t begin, size_t end) {
-          // Worker threads have no ambient span; attach the shard span to
-          // the refinement stage explicitly.
-          int64_t span = tracer_ != nullptr
-                             ? tracer_->BeginSpanUnder("refine.shard",
-                                                       parent_span)
-                             : obs::Tracer::kNoSpan;
-          if (tracer_ != nullptr) {
-            tracer_->AddAttribute(span, "shard",
-                                  static_cast<int64_t>(shard));
-            tracer_->AddAttribute(span, "users",
-                                  static_cast<int64_t>(end - begin));
-          }
-          size_t start = begin;
-          if (checkpointer != nullptr) {
-            if (const ShardProgress* restored =
-                    checkpointer->RestoredShard(shard)) {
-              shard_stats[shard] = restored->stats;
-              shard_refined[shard] =
-                  checkpointer->TakeRestoredShardRefined(shard);
-              start = std::max(
-                  start, static_cast<size_t>(restored->next_user));
-            }
-          }
-          RefinedUser candidate;
-          for (size_t i = start; i < end; ++i) {
-            if (RefineUser(dataset, users[i], shard_stats[shard],
-                           &candidate)) {
-              shard_refined[shard].push_back(std::move(candidate));
-              candidate = RefinedUser{};
-            }
-            if (checkpointer != nullptr) {
-              checkpointer->NoteUserProcessed(
-                  shard, static_cast<int64_t>(i + 1), shard_stats[shard],
-                  shard_refined[shard], i + 1 == end);
-              if (checkpointer->ShouldStop()) break;
-            }
-          }
-          if (tracer_ != nullptr) tracer_->EndSpan(span);
-        });
-
-    obs::Tracer::ScopedSpan merge_span(tracer_, "refine.merge");
-    size_t total = 0;
-    for (const std::vector<RefinedUser>& part : shard_refined) {
-      total += part.size();
-    }
-    refined.reserve(total);
-    for (size_t shard = 0; shard < shards; ++shard) {
-      stats.AccumulateUserCounts(shard_stats[shard]);
-      for (RefinedUser& user : shard_refined[shard]) {
-        refined.push_back(std::move(user));
-      }
-    }
-  }
-
-  // Retry/backoff totals are accumulated per user inside RefineUser (see
-  // the thread-local sampling there); for a fresh geocoder they equal its
-  // num_retries()/simulated_backoff_ms() totals.
-  stats.fault_injection_enabled = geocoder_->fault_injection_enabled();
-  if (metrics_ != nullptr) PublishFunnelMetrics(stats);
-  return refined;
-}
-
-std::vector<RefinedUser> RefinementPipeline::Run(const io::CorpusView& corpus,
-                                                 FunnelStats* funnel,
-                                                 common::ThreadPool* pool) const {
   obs::Tracer::ScopedSpan refinement_span(tracer_, "refinement");
   // Re-verify windows up front when storage faults that can rot pages
   // are armed (or corruption was already found), so every shard sees the
@@ -429,83 +275,92 @@ std::vector<RefinedUser> RefinementPipeline::Run(const io::CorpusView& corpus,
   stats.gps_tweets = corpus.gps_tweet_count();
 
   const size_t user_count = corpus.user_count();
-  size_t shards = common::NumShards(pool, user_count);
-  std::vector<RefinedUser> refined;
-  // Page-release policy: a grouped corpus stores one user's tweets
-  // contiguously, so a contiguous user range maps to a contiguous tweet
-  // byte range we can hand back to the kernel as soon as the range is
-  // refined. Ungrouped corpora scatter rows, so no release is attempted
-  // (the kernel still evicts under pressure; only the bound is weaker).
-  if (shards <= 1) {
-    // Serial: release consumed tweet pages every watermark's worth of
-    // users so a single-threaded out-of-core scan stays flat too.
-    constexpr size_t kReleaseUserStride = 1u << 16;
-    size_t released_row = 0;
-    RefinedUser candidate;
-    std::unordered_map<uint32_t, text::ParsedLocation> parse_memo;
-    for (size_t i = 0; i < user_count; ++i) {
-      if (RefineUser(corpus, i, stats, &candidate, &parse_memo)) {
-        refined.push_back(std::move(candidate));
-        candidate = RefinedUser{};
-      }
-      if (corpus.grouped() && (i + 1) % kReleaseUserStride == 0) {
-        size_t consumed = static_cast<size_t>(corpus.user_tweet_begin(i + 1));
-        corpus.ReleaseTweetRows(released_row, consumed);
-        released_row = consumed;
-      }
-    }
-    if (corpus.grouped()) {
-      corpus.ReleaseTweetRows(released_row, corpus.tweet_count());
-    }
-  } else {
-    // Contiguous user shards, merged in shard order — bit-identical to
-    // the serial scan for any thread count, same as the Dataset path.
-    std::vector<FunnelStats> shard_stats(shards);
-    std::vector<std::vector<RefinedUser>> shard_refined(shards);
-    int64_t parent_span = refinement_span.id();
-    common::ParallelForShards(
-        pool, user_count, [&](size_t shard, size_t begin, size_t end) {
-          int64_t span = tracer_ != nullptr
-                             ? tracer_->BeginSpanUnder("refine.shard",
-                                                       parent_span)
-                             : obs::Tracer::kNoSpan;
-          if (tracer_ != nullptr) {
-            tracer_->AddAttribute(span, "shard",
-                                  static_cast<int64_t>(shard));
-            tracer_->AddAttribute(span, "users",
-                                  static_cast<int64_t>(end - begin));
+  const size_t shards = common::NumShards(pool, user_count);
+  if (checkpointer != nullptr) checkpointer->InitShards(shards);
+  // Contiguous user shards (a single one without a pool), each with
+  // private outputs; the shard-ordered merge below makes the result
+  // independent of execution interleaving and of the thread count.
+  std::vector<FunnelStats> shard_stats(shards);
+  std::vector<std::vector<RefinedUser>> shard_refined(shards);
+  int64_t parent_span = refinement_span.id();
+  common::ParallelForShards(
+      pool, user_count, [&](size_t shard, size_t begin, size_t end) {
+        // Worker threads have no ambient span; attach the shard span to
+        // the refinement stage explicitly.
+        int64_t span = tracer_ != nullptr
+                           ? tracer_->BeginSpanUnder("refine.shard",
+                                                     parent_span)
+                           : obs::Tracer::kNoSpan;
+        if (tracer_ != nullptr) {
+          tracer_->AddAttribute(span, "shard", static_cast<int64_t>(shard));
+          tracer_->AddAttribute(span, "users",
+                                static_cast<int64_t>(end - begin));
+        }
+        size_t start = begin;
+        if (checkpointer != nullptr) {
+          if (const ShardProgress* restored =
+                  checkpointer->RestoredShard(shard)) {
+            shard_stats[shard] = restored->stats;
+            shard_refined[shard] =
+                checkpointer->TakeRestoredShardRefined(shard);
+            start = std::max(start,
+                             static_cast<size_t>(restored->next_user));
           }
-          RefinedUser candidate;
-          std::unordered_map<uint32_t, text::ParsedLocation> parse_memo;
-          for (size_t i = begin; i < end; ++i) {
-            if (RefineUser(corpus, i, shard_stats[shard], &candidate,
-                           &parse_memo)) {
-              shard_refined[shard].push_back(std::move(candidate));
-              candidate = RefinedUser{};
-            }
+        }
+        // Page-release policy: a grouped corpus stores one user's tweets
+        // contiguously, so a contiguous user range maps to a contiguous
+        // tweet byte range we can hand back to the kernel once refined —
+        // every stride of users and at the shard end, so even a
+        // single-shard out-of-core scan stays flat. Ungrouped corpora
+        // scatter rows, so no release is attempted (the kernel still
+        // evicts under pressure; only the bound is weaker).
+        constexpr size_t kReleaseUserStride = 1u << 16;
+        size_t released_row =
+            static_cast<size_t>(corpus.user_tweet_begin(begin));
+        auto release_through = [&](size_t user) {
+          if (!corpus.grouped()) return;
+          const size_t row =
+              static_cast<size_t>(corpus.user_tweet_begin(user));
+          corpus.ReleaseTweetRows(released_row, row);
+          released_row = row;
+        };
+        RefinedUser candidate;
+        std::unordered_map<uint32_t, text::ParsedLocation> parse_memo;
+        for (size_t i = start; i < end; ++i) {
+          if (RefineUser(corpus, i, shard_stats[shard], &candidate,
+                         &parse_memo)) {
+            shard_refined[shard].push_back(std::move(candidate));
+            candidate = RefinedUser{};
           }
-          if (corpus.grouped()) {
-            corpus.ReleaseTweetRows(
-                static_cast<size_t>(corpus.user_tweet_begin(begin)),
-                static_cast<size_t>(corpus.user_tweet_begin(end)));
+          if (checkpointer != nullptr) {
+            checkpointer->NoteUserProcessed(
+                shard, static_cast<int64_t>(i + 1), shard_stats[shard],
+                shard_refined[shard], i + 1 == end);
+            if (checkpointer->ShouldStop()) break;
           }
-          if (tracer_ != nullptr) tracer_->EndSpan(span);
-        });
+          if ((i + 1) % kReleaseUserStride == 0) release_through(i + 1);
+        }
+        release_through(end);
+        if (tracer_ != nullptr) tracer_->EndSpan(span);
+      });
 
-    obs::Tracer::ScopedSpan merge_span(tracer_, "refine.merge");
-    size_t total = 0;
-    for (const std::vector<RefinedUser>& part : shard_refined) {
-      total += part.size();
-    }
-    refined.reserve(total);
-    for (size_t shard = 0; shard < shards; ++shard) {
-      stats.AccumulateUserCounts(shard_stats[shard]);
-      for (RefinedUser& user : shard_refined[shard]) {
-        refined.push_back(std::move(user));
-      }
+  obs::Tracer::ScopedSpan merge_span(tracer_, "refine.merge");
+  size_t total = 0;
+  for (const std::vector<RefinedUser>& part : shard_refined) {
+    total += part.size();
+  }
+  std::vector<RefinedUser> refined;
+  refined.reserve(total);
+  for (size_t shard = 0; shard < shards; ++shard) {
+    stats.AccumulateUserCounts(shard_stats[shard]);
+    for (RefinedUser& user : shard_refined[shard]) {
+      refined.push_back(std::move(user));
     }
   }
 
+  // Retry/backoff totals are accumulated per user inside RefineUser (see
+  // the thread-local sampling there); for a fresh geocoder they equal its
+  // num_retries()/simulated_backoff_ms() totals.
   stats.fault_injection_enabled = geocoder_->fault_injection_enabled();
   if (metrics_ != nullptr) PublishFunnelMetrics(stats);
   return refined;

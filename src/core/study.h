@@ -1,7 +1,6 @@
 #ifndef STIR_CORE_STUDY_H_
 #define STIR_CORE_STUDY_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -83,15 +82,17 @@ class CorrelationStudy {
   explicit CorrelationStudy(const geo::AdminDb* db,
                             const StudyConfig& config = StudyConfig());
 
-  StudyResult Run(const twitter::Dataset& dataset) const;
-
-  /// Columnar overload: runs the study straight off a mapped arena
-  /// corpus (io::CorpusView) — no Dataset materialization, resident set
-  /// bounded by the refinement working set. Output is byte-identical to
-  /// Run(Dataset) on the same corpus. Durability is the one Dataset-path
-  /// feature the columnar path does not carry: a configured
-  /// checkpoint_dir logs a warning and the run proceeds without it.
+  /// Runs the study straight off an arena corpus (io::CorpusView) — no
+  /// Dataset materialization, resident set bounded by the refinement
+  /// working set. A configured `durability.checkpoint_dir` makes the run
+  /// crash-safe (DESIGN.md §9).
   StudyResult Run(const io::CorpusView& corpus) const;
+
+  /// Adapter for row-oriented callers: encodes `dataset` into an
+  /// in-memory arena image (io::CorpusView::FromDataset) and runs the
+  /// view path, so the output is byte-identical to Run over a corpus
+  /// file written from the same dataset.
+  StudyResult Run(const twitter::Dataset& dataset) const;
 
   const geo::AdminDb& db() const { return *db_; }
   const text::LocationParser& parser() const { return parser_; }
@@ -102,16 +103,8 @@ class CorrelationStudy {
   /// run with the *effective* config (observability pointers resolved).
   /// Split out of Run so the "study" root span closes before Run
   /// snapshots the sinks into the result.
-  void RunStages(const twitter::Dataset& dataset, const StudyConfig& cfg,
-                 StudyResult* result) const;
   void RunStages(const io::CorpusView& corpus, const StudyConfig& cfg,
                  StudyResult* result) const;
-
-  /// Shared Run scaffolding: resolves the effective observability sinks,
-  /// invokes `stages`, then snapshots metrics/trace into the result.
-  StudyResult RunWithEffectiveConfig(
-      const std::function<void(const StudyConfig&, StudyResult*)>& stages)
-      const;
 
   const geo::AdminDb* db_;
   StudyConfig config_;

@@ -46,47 +46,6 @@ Status Corrupt(const std::string& path, const std::string& why) {
   return Status::InvalidArgument("corpus " + path + ": " + why);
 }
 
-/// Buffered snapshot assembly: counts bytes written and (once armed)
-/// feeds every byte into the running payload CRC.
-class CrcWriter {
- public:
-  CrcWriter(std::FILE* file, std::string path)
-      : file_(file), path_(std::move(path)) {}
-
-  Status Write(const void* data, size_t bytes) {
-    if (bytes > 0 &&
-        FaultFs::Instance().Fwrite(data, 1, bytes, file_) != bytes) {
-      return Errno("write", path_);
-    }
-    if (tracking_) {
-      crc_ = Crc32cExtend(
-          crc_, std::string_view(static_cast<const char*>(data), bytes));
-    }
-    pos_ += bytes;
-    return Status::OK();
-  }
-
-  Status Pad(uint64_t target_pos) {
-    static const char kZeros[8] = {0};
-    while (pos_ < target_pos) {
-      size_t n = std::min<uint64_t>(target_pos - pos_, sizeof(kZeros));
-      STIR_RETURN_IF_ERROR(Write(kZeros, n));
-    }
-    return Status::OK();
-  }
-
-  void StartCrc() { tracking_ = true; }
-  uint32_t FinishCrc() const { return Crc32cFinish(crc_); }
-  uint64_t pos() const { return pos_; }
-
- private:
-  std::FILE* file_;
-  std::string path_;
-  bool tracking_ = false;
-  uint32_t crc_ = kCrc32cInit;
-  uint64_t pos_ = 0;
-};
-
 struct SectionPlan {
   CorpusSection id;
   uint64_t offset = 0;
@@ -106,6 +65,83 @@ void PutU64(std::string* out, uint64_t v) {
 // CorpusWriter
 // ---------------------------------------------------------------------
 
+/// Snapshot assembly target: a file written through io::FaultFs, or an
+/// owned in-memory image. Counts bytes written and (once armed) feeds
+/// every byte into the running payload CRC.
+class CorpusWriter::Sink {
+ public:
+  /// File sink.
+  Sink(std::FILE* file, std::string path)
+      : file_(file), path_(std::move(path)) {}
+  /// In-memory sink; Begin() allocates the image.
+  Sink() = default;
+
+  /// Called once the final size is known.
+  void Begin(uint64_t size) {
+    if (file_ == nullptr) {
+      image_.reset(new uint64_t[size / 8]);
+      image_size_ = size;
+    }
+  }
+
+  Status Write(const void* data, size_t bytes) {
+    if (bytes > 0) {
+      if (file_ == nullptr) {
+        std::memcpy(reinterpret_cast<char*>(image_.get()) + pos_, data, bytes);
+      } else if (FaultFs::Instance().Fwrite(data, 1, bytes, file_) != bytes) {
+        return Errno("write", path_);
+      }
+    }
+    if (tracking_) {
+      crc_ = Crc32cExtend(
+          crc_, std::string_view(static_cast<const char*>(data), bytes));
+    }
+    pos_ += bytes;
+    return Status::OK();
+  }
+
+  Status Pad(uint64_t target_pos) {
+    static const char kZeros[8] = {0};
+    while (pos_ < target_pos) {
+      size_t n = std::min<uint64_t>(target_pos - pos_, sizeof(kZeros));
+      STIR_RETURN_IF_ERROR(Write(kZeros, n));
+    }
+    return Status::OK();
+  }
+
+  /// Overwrites the leading placeholder header once the CRC is known.
+  Status PatchHeader(const std::string& header) {
+    if (file_ == nullptr) {
+      std::memcpy(image_.get(), header.data(), header.size());
+      return Status::OK();
+    }
+    if (std::fflush(file_) != 0 || std::fseek(file_, 0, SEEK_SET) != 0 ||
+        FaultFs::Instance().Fwrite(header.data(), 1, header.size(), file_) !=
+            header.size() ||
+        std::fflush(file_) != 0) {
+      return Errno("write(header)", path_);
+    }
+    return Status::OK();
+  }
+
+  void StartCrc() { tracking_ = true; }
+  uint32_t FinishCrc() const { return Crc32cFinish(crc_); }
+
+  MappedFile TakeImage() {
+    return MappedFile::FromBuffer(std::move(image_), image_size_,
+                                  "(in-memory corpus image)");
+  }
+
+ private:
+  std::FILE* file_ = nullptr;
+  std::string path_;
+  std::unique_ptr<uint64_t[]> image_;
+  uint64_t image_size_ = 0;
+  bool tracking_ = false;
+  uint32_t crc_ = kCrc32cInit;
+  uint64_t pos_ = 0;
+};
+
 CorpusWriter::CorpusWriter(std::string path, CorpusWriterOptions options)
     : path_(std::move(path)), options_(options) {
   if (options_.tweet_spill_rows == 0 || options_.tweet_spill_rows % 64 != 0) {
@@ -123,6 +159,8 @@ CorpusWriter::CorpusWriter(std::string path, CorpusWriterOptions options)
     cols[i]->path = path_ + ".spill." + names[i];
   }
 }
+
+CorpusWriter::CorpusWriter() = default;
 
 CorpusWriter::~CorpusWriter() { CloseAndRemoveSpills(); }
 
@@ -207,13 +245,13 @@ Status CorpusWriter::AddTweet(const twitter::Tweet& tweet) {
   ++user_tweet_counts_[user_row];
   ++tweet_rows_;
 
-  if (buf_ids_.size() >= options_.tweet_spill_rows) {
-    STIR_RETURN_IF_ERROR(FlushTweetBuffers(false));
+  if (!path_.empty() && buf_ids_.size() >= options_.tweet_spill_rows) {
+    STIR_RETURN_IF_ERROR(FlushTweetBuffers());
   }
   return Status::OK();
 }
 
-Status CorpusWriter::FlushTweetBuffers(bool final_flush) {
+Status CorpusWriter::FlushTweetBuffers() {
   size_t n = buf_ids_.size();
   if (n == 0) return Status::OK();
   // Non-final flushes happen on tweet_spill_rows boundaries (a multiple
@@ -236,7 +274,6 @@ Status CorpusWriter::FlushTweetBuffers(bool final_flush) {
   buf_gps_bits_.clear();
   buf_text_offsets_.clear();
   buf_text_.clear();
-  (void)final_flush;
   return Status::OK();
 }
 
@@ -244,7 +281,7 @@ StatusOr<CorpusWriteStats> CorpusWriter::Finish() {
   if (!deferred_error_.ok()) return deferred_error_;
   if (finished_) return Status::FailedPrecondition("writer already finished");
   finished_ = true;
-  STIR_RETURN_IF_ERROR(FlushTweetBuffers(true));
+  STIR_RETURN_IF_ERROR(FlushTweetBuffers());
   SpillColumn* cols[] = {&spill_ids_,      &spill_user_rows_,
                          &spill_times_,    &spill_lats_,
                          &spill_lngs_,     &spill_gps_bits_,
@@ -255,6 +292,32 @@ StatusOr<CorpusWriteStats> CorpusWriter::Finish() {
     }
   }
 
+  // Assemble the snapshot in a temporary sibling, then rename.
+  std::string tmp = path_ + ".tmp";
+  std::FILE* out = std::fopen(tmp.c_str(), "wb");
+  if (out == nullptr) return Errno("open", tmp);
+  Sink sink(out, tmp);
+  StatusOr<CorpusWriteStats> stats = Assemble(&sink);
+  Status status = stats.status();
+  if (status.ok() && options_.fsync &&
+      FaultFs::Instance().Fsync(::fileno(out)) != 0) {
+    status = Errno("fsync", tmp);
+  }
+  if (std::fclose(out) != 0 && status.ok()) status = Errno("close", tmp);
+  CloseAndRemoveSpills();
+  if (!status.ok()) {
+    ::unlink(tmp.c_str());
+    return status;
+  }
+  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return Errno("rename", path_);
+  }
+  if (options_.fsync) STIR_RETURN_IF_ERROR(SyncParentDir(path_));
+  return stats;
+}
+
+StatusOr<CorpusWriteStats> CorpusWriter::Assemble(Sink* sink) {
   const uint64_t users = user_ids_.size();
   const uint64_t tweets = static_cast<uint64_t>(tweet_rows_);
 
@@ -265,30 +328,37 @@ StatusOr<CorpusWriteStats> CorpusWriter::Finish() {
   }
 
   // Ungrouped corpora need the explicit CSR permutation, built by
-  // scattering the spilled per-tweet user-row column. This is the one
-  // finalization step that is O(tweets) in memory; the generator's
-  // grouped order never takes it.
+  // scattering the per-tweet user-row column (spilled rows first, then
+  // the buffered tail). This is the one finalization step that is
+  // O(tweets) in memory; the generator's grouped order never takes it.
   std::vector<uint32_t> csr_rows;
   if (!grouped_ && tweets > 0) {
     csr_rows.resize(tweets);
     std::vector<uint64_t> cursor(csr_begin.begin(), csr_begin.end() - 1);
-    std::FILE* in = std::fopen(spill_user_rows_.path.c_str(), "rb");
-    if (in == nullptr) return Errno("open", spill_user_rows_.path);
-    std::vector<uint32_t> chunk(1u << 16);
     uint64_t t = 0;
-    while (t < tweets) {
-      size_t want = std::min<uint64_t>(chunk.size(), tweets - t);
-      size_t got = std::fread(chunk.data(), 4, want, in);
-      if (got != want) {
-        std::fclose(in);
-        return Errno("read", spill_user_rows_.path);
+    auto scatter = [&](const uint32_t* rows, size_t n) {
+      for (size_t i = 0; i < n; ++i) {
+        csr_rows[cursor[rows[i]]++] = static_cast<uint32_t>(t + i);
       }
-      for (size_t i = 0; i < got; ++i) {
-        csr_rows[cursor[chunk[i]]++] = static_cast<uint32_t>(t + i);
+      t += n;
+    };
+    const uint64_t spilled = spill_user_rows_.bytes / 4;
+    if (spilled > 0) {
+      std::FILE* in = std::fopen(spill_user_rows_.path.c_str(), "rb");
+      if (in == nullptr) return Errno("open", spill_user_rows_.path);
+      std::vector<uint32_t> chunk(1u << 16);
+      while (t < spilled) {
+        size_t want = std::min<uint64_t>(chunk.size(), spilled - t);
+        size_t got = std::fread(chunk.data(), 4, want, in);
+        if (got != want) {
+          std::fclose(in);
+          return Errno("read", spill_user_rows_.path);
+        }
+        scatter(chunk.data(), got);
       }
-      t += got;
+      std::fclose(in);
     }
-    std::fclose(in);
+    scatter(buf_user_rows_.data(), buf_user_rows_.size());
   }
 
   int64_t total_tweets = 0;
@@ -324,40 +394,36 @@ StatusOr<CorpusWriteStats> CorpusWriter::Finish() {
     cursor += s.size;
   }
   const uint64_t file_size = Align8(cursor);
+  sink->Begin(file_size);
 
-  // Assemble the snapshot in a temporary sibling, then rename.
-  std::string tmp = path_ + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) return Errno("open", tmp);
-  CrcWriter writer(out, tmp);
+  static const char kZeroHeader[kCorpusHeaderSize] = {0};
+  STIR_RETURN_IF_ERROR(sink->Write(kZeroHeader, kCorpusHeaderSize));
+  sink->StartCrc();
 
-  Status status = [&]() -> Status {
-    static const char kZeroHeader[kCorpusHeaderSize] = {0};
-    STIR_RETURN_IF_ERROR(writer.Write(kZeroHeader, kCorpusHeaderSize));
-    writer.StartCrc();
+  std::string table;
+  table.reserve(plan.size() * 24);
+  for (const SectionPlan& s : plan) {
+    PutU32(&table, static_cast<uint32_t>(s.id));
+    PutU32(&table, 0);
+    PutU64(&table, s.offset);
+    PutU64(&table, s.size);
+  }
+  STIR_RETURN_IF_ERROR(sink->Write(table.data(), table.size()));
 
-    std::string table;
-    table.reserve(plan.size() * 24);
-    for (const SectionPlan& s : plan) {
-      PutU32(&table, static_cast<uint32_t>(s.id));
-      PutU32(&table, 0);
-      PutU64(&table, s.offset);
-      PutU64(&table, s.size);
+  auto write_mem = [&](const SectionPlan& s, const void* data) -> Status {
+    STIR_RETURN_IF_ERROR(sink->Pad(s.offset));
+    return sink->Write(data, s.size);
+  };
+  // A tweet column is its spill file followed by its buffered tail.
+  auto write_column = [&](const SectionPlan& s, const SpillColumn& col,
+                          const auto& buffer,
+                          uint64_t prefix_zero_u64s) -> Status {
+    STIR_RETURN_IF_ERROR(sink->Pad(s.offset));
+    for (uint64_t i = 0; i < prefix_zero_u64s; ++i) {
+      uint64_t zero = 0;
+      STIR_RETURN_IF_ERROR(sink->Write(&zero, 8));
     }
-    STIR_RETURN_IF_ERROR(writer.Write(table.data(), table.size()));
-
-    auto write_mem = [&](const SectionPlan& s, const void* data) -> Status {
-      STIR_RETURN_IF_ERROR(writer.Pad(s.offset));
-      return writer.Write(data, s.size);
-    };
-    auto write_spill = [&](const SectionPlan& s, const SpillColumn& col,
-                           uint64_t prefix_zero_u64s) -> Status {
-      STIR_RETURN_IF_ERROR(writer.Pad(s.offset));
-      for (uint64_t i = 0; i < prefix_zero_u64s; ++i) {
-        uint64_t zero = 0;
-        STIR_RETURN_IF_ERROR(writer.Write(&zero, 8));
-      }
-      if (col.bytes == 0) return Status::OK();
+    if (col.bytes > 0) {
       std::FILE* in = std::fopen(col.path.c_str(), "rb");
       if (in == nullptr) return Errno("open", col.path);
       std::vector<char> chunk(1u << 20);
@@ -369,7 +435,7 @@ StatusOr<CorpusWriteStats> CorpusWriter::Finish() {
           std::fclose(in);
           return Errno("read", col.path);
         }
-        Status st = writer.Write(chunk.data(), got);
+        Status st = sink->Write(chunk.data(), got);
         if (!st.ok()) {
           std::fclose(in);
           return st;
@@ -377,70 +443,50 @@ StatusOr<CorpusWriteStats> CorpusWriter::Finish() {
         left -= got;
       }
       std::fclose(in);
-      return Status::OK();
-    };
-
-    size_t p = 0;
-    STIR_RETURN_IF_ERROR(write_mem(plan[p++], user_ids_.data()));
-    STIR_RETURN_IF_ERROR(write_mem(plan[p++], user_handle_refs_.data()));
-    STIR_RETURN_IF_ERROR(write_mem(plan[p++], user_profile_refs_.data()));
-    STIR_RETURN_IF_ERROR(write_mem(plan[p++], user_total_tweets_.data()));
-    STIR_RETURN_IF_ERROR(write_mem(plan[p++], csr_begin.data()));
-    if (!grouped_) {
-      STIR_RETURN_IF_ERROR(write_mem(plan[p++], csr_rows.data()));
     }
-    STIR_RETURN_IF_ERROR(write_spill(plan[p++], spill_ids_, 0));
-    STIR_RETURN_IF_ERROR(write_spill(plan[p++], spill_user_rows_, 0));
-    STIR_RETURN_IF_ERROR(write_spill(plan[p++], spill_times_, 0));
-    STIR_RETURN_IF_ERROR(write_spill(plan[p++], spill_lats_, 0));
-    STIR_RETURN_IF_ERROR(write_spill(plan[p++], spill_lngs_, 0));
-    STIR_RETURN_IF_ERROR(write_spill(plan[p++], spill_gps_bits_, 0));
-    // Text offsets are stored as end positions; the section leads with
-    // the implicit 0 so readers see tweets+1 monotone offsets.
-    STIR_RETURN_IF_ERROR(write_spill(plan[p++], spill_text_offsets_, 1));
-    STIR_RETURN_IF_ERROR(write_spill(plan[p++], spill_text_, 0));
-    STIR_RETURN_IF_ERROR(write_mem(plan[p++], arena_.offsets().data()));
-    STIR_RETURN_IF_ERROR(write_mem(plan[p++], arena_.blob().data()));
-    STIR_RETURN_IF_ERROR(writer.Pad(file_size));
-    return Status::OK();
-  }();
+    return sink->Write(buffer.data(), buffer.size() * sizeof(buffer[0]));
+  };
 
-  if (status.ok()) {
-    // Patch the real header in.
-    std::string header;
-    header.reserve(kCorpusHeaderSize);
-    header.append(kCorpusMagic);
-    PutU32(&header, kCorpusFormatVersion);
-    PutU32(&header, writer.FinishCrc());
-    PutU64(&header, file_size);
-    PutU64(&header, users);
-    PutU64(&header, tweets);
-    PutU64(&header, static_cast<uint64_t>(gps_tweets_));
-    PutU64(&header, static_cast<uint64_t>(total_tweets));
-    PutU32(&header, grouped_ ? kCorpusFlagGrouped : 0);
-    PutU32(&header, static_cast<uint32_t>(plan.size()));
-    if (std::fflush(out) != 0 || std::fseek(out, 0, SEEK_SET) != 0 ||
-        FaultFs::Instance().Fwrite(header.data(), 1, header.size(), out) !=
-            header.size() ||
-        std::fflush(out) != 0) {
-      status = Errno("write(header)", tmp);
-    }
+  size_t p = 0;
+  STIR_RETURN_IF_ERROR(write_mem(plan[p++], user_ids_.data()));
+  STIR_RETURN_IF_ERROR(write_mem(plan[p++], user_handle_refs_.data()));
+  STIR_RETURN_IF_ERROR(write_mem(plan[p++], user_profile_refs_.data()));
+  STIR_RETURN_IF_ERROR(write_mem(plan[p++], user_total_tweets_.data()));
+  STIR_RETURN_IF_ERROR(write_mem(plan[p++], csr_begin.data()));
+  if (!grouped_) {
+    STIR_RETURN_IF_ERROR(write_mem(plan[p++], csr_rows.data()));
   }
-  if (status.ok() && options_.fsync &&
-      FaultFs::Instance().Fsync(::fileno(out)) != 0) {
-    status = Errno("fsync", tmp);
-  }
-  if (std::fclose(out) != 0 && status.ok()) status = Errno("close", tmp);
-  CloseAndRemoveSpills();
-  if (!status.ok()) {
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Errno("rename", path_);
-  }
-  if (options_.fsync) STIR_RETURN_IF_ERROR(SyncParentDir(path_));
+  STIR_RETURN_IF_ERROR(write_column(plan[p++], spill_ids_, buf_ids_, 0));
+  STIR_RETURN_IF_ERROR(
+      write_column(plan[p++], spill_user_rows_, buf_user_rows_, 0));
+  STIR_RETURN_IF_ERROR(write_column(plan[p++], spill_times_, buf_times_, 0));
+  STIR_RETURN_IF_ERROR(write_column(plan[p++], spill_lats_, buf_lats_, 0));
+  STIR_RETURN_IF_ERROR(write_column(plan[p++], spill_lngs_, buf_lngs_, 0));
+  STIR_RETURN_IF_ERROR(
+      write_column(plan[p++], spill_gps_bits_, buf_gps_bits_, 0));
+  // Text offsets are stored as end positions; the section leads with
+  // the implicit 0 so readers see tweets+1 monotone offsets.
+  STIR_RETURN_IF_ERROR(
+      write_column(plan[p++], spill_text_offsets_, buf_text_offsets_, 1));
+  STIR_RETURN_IF_ERROR(write_column(plan[p++], spill_text_, buf_text_, 0));
+  STIR_RETURN_IF_ERROR(write_mem(plan[p++], arena_.offsets().data()));
+  STIR_RETURN_IF_ERROR(write_mem(plan[p++], arena_.blob().data()));
+  STIR_RETURN_IF_ERROR(sink->Pad(file_size));
+
+  // Patch the real header in.
+  std::string header;
+  header.reserve(kCorpusHeaderSize);
+  header.append(kCorpusMagic);
+  PutU32(&header, kCorpusFormatVersion);
+  PutU32(&header, sink->FinishCrc());
+  PutU64(&header, file_size);
+  PutU64(&header, users);
+  PutU64(&header, tweets);
+  PutU64(&header, static_cast<uint64_t>(gps_tweets_));
+  PutU64(&header, static_cast<uint64_t>(total_tweets));
+  PutU32(&header, grouped_ ? kCorpusFlagGrouped : 0);
+  PutU32(&header, static_cast<uint32_t>(plan.size()));
+  STIR_RETURN_IF_ERROR(sink->PatchHeader(header));
 
   CorpusWriteStats stats;
   stats.users = static_cast<int64_t>(users);
@@ -453,17 +499,35 @@ StatusOr<CorpusWriteStats> CorpusWriter::Finish() {
   return stats;
 }
 
+namespace {
+
+Status AddDataset(const twitter::Dataset& dataset, CorpusWriter* writer) {
+  for (const twitter::User& user : dataset.users()) {
+    STIR_RETURN_IF_ERROR(writer->AddUser(user));
+  }
+  for (const twitter::Tweet& tweet : dataset.tweets()) {
+    STIR_RETURN_IF_ERROR(writer->AddTweet(tweet));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 StatusOr<CorpusWriteStats> CorpusWriter::WriteDataset(
     const twitter::Dataset& dataset, const std::string& path,
     CorpusWriterOptions options) {
   CorpusWriter writer(path, options);
-  for (const twitter::User& user : dataset.users()) {
-    STIR_RETURN_IF_ERROR(writer.AddUser(user));
-  }
-  for (const twitter::Tweet& tweet : dataset.tweets()) {
-    STIR_RETURN_IF_ERROR(writer.AddTweet(tweet));
-  }
+  STIR_RETURN_IF_ERROR(AddDataset(dataset, &writer));
   return writer.Finish();
+}
+
+StatusOr<MappedFile> CorpusWriter::EncodeDataset(
+    const twitter::Dataset& dataset) {
+  CorpusWriter writer;
+  STIR_RETURN_IF_ERROR(AddDataset(dataset, &writer));
+  Sink sink;
+  STIR_RETURN_IF_ERROR(writer.Assemble(&sink).status());
+  return sink.TakeImage();
 }
 
 // ---------------------------------------------------------------------
@@ -473,6 +537,16 @@ StatusOr<CorpusWriteStats> CorpusWriter::WriteDataset(
 StatusOr<CorpusView> CorpusView::Open(const std::string& path,
                                       CorpusViewOptions options) {
   STIR_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
+  return FromImage(std::move(file), options.verify_crc);
+}
+
+StatusOr<CorpusView> CorpusView::FromDataset(const twitter::Dataset& dataset) {
+  STIR_ASSIGN_OR_RETURN(MappedFile image, CorpusWriter::EncodeDataset(dataset));
+  return FromImage(std::move(image), /*verify_crc=*/false);
+}
+
+StatusOr<CorpusView> CorpusView::FromImage(MappedFile file, bool verify_crc) {
+  const std::string path = file.path();
   const char* base = file.data();
   const size_t size = file.size();
   if (size < kCorpusHeaderSize) return Corrupt(path, "truncated header");
@@ -514,7 +588,7 @@ StatusOr<CorpusView> CorpusView::Open(const std::string& path,
   if (table_end > size) return Corrupt(path, "section table truncated");
 
   view.file_salt_ = Fnv1a64(path);
-  if (options.verify_crc) {
+  if (verify_crc) {
     // Windowed so the verification pass itself does not drag the whole
     // file into the resident set: extend, release, repeat. The running
     // CRC at each window boundary is recorded so released windows can be

@@ -31,10 +31,9 @@ namespace stir::io {
 /// A self-contained, mmap-able, CRC-guarded columnar corpus: the user
 /// table, the tweet table (struct-of-arrays), a CSR user→tweet index,
 /// and one string-interned arena holding every corpus string exactly
-/// once. Unlike the v2 column store (tweets only, paired with a users
-/// TSV), a v3 file is the whole corpus; unlike both predecessors it is
-/// read zero-copy through CorpusView — no parse, no per-string
-/// allocation, resident set proportional to the touched working set.
+/// once. It is read zero-copy through CorpusView — no parse, no
+/// per-string allocation, resident set proportional to the touched
+/// working set.
 ///
 /// File layout (all integers little-endian, all sections 8-byte
 /// aligned so mapped columns can be read through typed pointers):
@@ -140,6 +139,10 @@ class CorpusWriter {
       const twitter::Dataset& dataset, const std::string& path,
       CorpusWriterOptions options = {});
 
+  /// The bytes WriteDataset would write, as an owned in-memory image.
+  /// Nothing touches the filesystem: no spills, no io::FaultFs call.
+  static StatusOr<MappedFile> EncodeDataset(const twitter::Dataset& dataset);
+
   int64_t user_count() const { return static_cast<int64_t>(user_ids_.size()); }
   int64_t tweet_count() const { return tweet_rows_; }
 
@@ -150,11 +153,20 @@ class CorpusWriter {
     uint64_t bytes = 0;
   };
 
-  Status Spill(SpillColumn* column, const void* data, size_t bytes);
-  Status FlushTweetBuffers(bool final_flush);
-  void CloseAndRemoveSpills();
+  class Sink;
 
-  std::string path_;
+  /// In-memory writer (EncodeDataset): tweets are never spilled.
+  CorpusWriter();
+
+  Status Spill(SpillColumn* column, const void* data, size_t bytes);
+  Status FlushTweetBuffers();
+  void CloseAndRemoveSpills();
+  /// Shared by Finish and EncodeDataset: plans the sections and streams
+  /// header, section table and payloads into `sink`. Tweet columns come
+  /// from the spill files followed by whatever is still buffered.
+  StatusOr<CorpusWriteStats> Assemble(Sink* sink);
+
+  std::string path_;  ///< Empty for the in-memory writer.
   CorpusWriterOptions options_;
   Status deferred_error_;
   bool finished_ = false;
@@ -204,6 +216,14 @@ class CorpusView {
   static StatusOr<CorpusView> Open(const std::string& path,
                                    CorpusViewOptions options = {});
 
+  /// A view over the in-memory image of `dataset` (the bytes
+  /// CorpusWriter::WriteDataset would write). The batch study reads
+  /// every corpus through a view; this is how a row-oriented dataset
+  /// gets one. No filesystem or io::FaultFs call. The image is
+  /// structurally validated but not CRC-verified, so it has no verify
+  /// windows and storage-fault schedules cannot quarantine it.
+  static StatusOr<CorpusView> FromDataset(const twitter::Dataset& dataset);
+
   CorpusView() = default;
   CorpusView(CorpusView&&) = default;
   CorpusView& operator=(CorpusView&&) = default;
@@ -215,6 +235,7 @@ class CorpusView {
   bool grouped() const { return (flags_ & kCorpusFlagGrouped) != 0; }
   /// Whole-file mapping size (the bench "bytes mapped" numerator).
   int64_t bytes_mapped() const { return static_cast<int64_t>(file_.size()); }
+  /// The corpus file, or a placeholder name for an in-memory image.
   const std::string& path() const { return file_.path(); }
 
   // --- user columns (row = append order) ---
@@ -275,7 +296,8 @@ class CorpusView {
   /// Returns the resident pages of the tweet columns covering rows
   /// [begin_row, end_row) to the kernel (best-effort madvise). Shard
   /// scans call this after finishing a shard so peak RSS stays bounded
-  /// by the shard working set even when the corpus exceeds RAM.
+  /// by the shard working set even when the corpus exceeds RAM. A no-op
+  /// on an in-memory image.
   void ReleaseTweetRows(size_t begin_row, size_t end_row) const;
 
   // --- storage-fault quarantine (DESIGN.md §15) ------------------------
@@ -327,6 +349,10 @@ class CorpusView {
     std::unique_ptr<std::atomic<uint8_t>[]> flags;
     std::atomic<int64_t> quarantined{0};
   };
+
+  /// Validates and indexes a v3 image (mapped file or in-memory), with
+  /// the windowed CRC pass when `verify_crc` is set.
+  static StatusOr<CorpusView> FromImage(MappedFile file, bool verify_crc);
 
   int64_t WindowOfByte(uint64_t file_offset) const {
     return static_cast<int64_t>((file_offset - kCorpusHeaderSize) /

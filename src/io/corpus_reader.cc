@@ -5,14 +5,14 @@
 
 #include "io/atomic_file.h"
 #include "io/truth_sidecar.h"
-#include "twitter/column_store.h"
 
 namespace stir::io {
 
 namespace {
 
-constexpr std::string_view kColumnV1Magic = "STIRCOL1";
-constexpr std::string_view kColumnV2Magic = "STIRCOL2";
+/// Magic bytes of the retired v2 tweet column snapshot (and its v1
+/// predecessor), recognized only to reject them by name.
+constexpr std::string_view kRetiredColumnMagics[] = {"STIRCOL1", "STIRCOL2"};
 
 /// The sidecar path when one exists next to `data_path`, else "".
 std::string DetectTruthSidecar(const std::string& data_path) {
@@ -26,8 +26,6 @@ const char* CorpusFormatName(CorpusFormat format) {
   switch (format) {
     case CorpusFormat::kTsv:
       return "tsv";
-    case CorpusFormat::kColumnV2:
-      return "column-v2";
     case CorpusFormat::kArenaV3:
       return "arena-v3";
   }
@@ -44,15 +42,19 @@ StatusOr<CorpusFormat> CorpusReader::SniffFormat(const std::string& path) {
   std::fclose(f);
   std::string_view head(magic, got);
   if (head == kCorpusMagic) return CorpusFormat::kArenaV3;
-  if (head == kColumnV1Magic || head == kColumnV2Magic) {
-    return CorpusFormat::kColumnV2;
+  for (std::string_view retired : kRetiredColumnMagics) {
+    if (head == retired) {
+      return Status::InvalidArgument(
+          path + " is a v2 tweet column snapshot (" + std::string(retired) +
+          "), a retired format; regenerate the corpus as TSV or as an "
+          "arena corpus (stir_cli generate --corpus)");
+    }
   }
   return CorpusFormat::kTsv;
 }
 
 StatusOr<CorpusReader> CorpusReader::Open(const CorpusSpec& spec) {
   CorpusReader reader;
-  reader.tsv_options_ = spec.tsv;
 
   if (!spec.corpus_path.empty()) {
     if (!spec.users_path.empty() || !spec.tweets_path.empty()) {
@@ -91,38 +93,8 @@ StatusOr<CorpusReader> CorpusReader::Open(const CorpusSpec& spec) {
           twitter::Dataset dataset,
           twitter::Dataset::LoadTsv(spec.users_path, spec.tweets_path,
                                     spec.tsv, &reader.tsv_stats_));
+      STIR_ASSIGN_OR_RETURN(reader.view_, CorpusView::FromDataset(dataset));
       reader.format_ = CorpusFormat::kTsv;
-      reader.dataset_ = std::move(dataset);
-      return reader;
-    }
-    case CorpusFormat::kColumnV2: {
-      STIR_ASSIGN_OR_RETURN(
-          twitter::Dataset dataset,
-          twitter::Dataset::LoadUsersTsv(spec.users_path, spec.tsv,
-                                         &reader.tsv_stats_));
-      STIR_ASSIGN_OR_RETURN(twitter::TweetColumnStore store,
-                            twitter::TweetColumnStore::Load(spec.tweets_path));
-      for (size_t i = 0; i < store.size(); ++i) {
-        twitter::TweetView row = store.Get(i);
-        twitter::Tweet tweet;
-        tweet.id = row.id;
-        tweet.user = row.user;
-        tweet.time = row.time;
-        tweet.gps = row.gps;
-        tweet.text = std::string(row.text);
-        if (dataset.FindUser(tweet.user) == nullptr) {
-          if (spec.tsv.strict) {
-            return Status::InvalidArgument(
-                "column row " + std::to_string(i) + ": tweet " +
-                std::to_string(tweet.id) + " from unknown user " +
-                std::to_string(tweet.user));
-          }
-          ++reader.tsv_stats_.quarantined_tweet_rows;
-          continue;
-        }
-        dataset.AddTweet(std::move(tweet));
-      }
-      reader.format_ = CorpusFormat::kColumnV2;
       reader.dataset_ = std::move(dataset);
       return reader;
     }
@@ -132,19 +104,10 @@ StatusOr<CorpusReader> CorpusReader::Open(const CorpusSpec& spec) {
 
 StatusOr<const twitter::Dataset*> CorpusReader::Materialize() {
   if (!dataset_) {
-    if (!view_) return Status::FailedPrecondition("reader holds no corpus");
-    STIR_ASSIGN_OR_RETURN(twitter::Dataset dataset,
-                          MaterializeDataset(*view_));
+    STIR_ASSIGN_OR_RETURN(twitter::Dataset dataset, MaterializeDataset(view_));
     dataset_ = std::move(dataset);
   }
   return &*dataset_;
-}
-
-StatusOr<twitter::Dataset> CorpusReader::TakeDataset() {
-  STIR_RETURN_IF_ERROR(Materialize().status());
-  twitter::Dataset out = std::move(*dataset_);
-  dataset_.reset();
-  return out;
 }
 
 StatusOr<twitter::Dataset> MaterializeDataset(const CorpusView& view) {

@@ -10,53 +10,51 @@
 
 namespace stir::io {
 
-/// The three corpus encodings the tree has accumulated, oldest first.
+/// The corpus encodings the reader accepts.
 enum class CorpusFormat {
-  kTsv,       // users TSV + tweets TSV (the original interchange format)
-  kColumnV2,  // users TSV + STIRCOL1/2 tweet column snapshot
-  kArenaV3,   // self-contained STIRARN3 arena corpus (users + tweets)
+  kTsv,      // users TSV + tweets TSV (the human-readable interchange format)
+  kArenaV3,  // self-contained STIRARN3 arena corpus (users + tweets)
 };
 
 const char* CorpusFormatName(CorpusFormat format);
 
 /// What to open. Either `corpus_path` names a self-contained v3 file, or
-/// `users_path` + `tweets_path` name the legacy pair — where the tweets
-/// file may be TSV or a binary column snapshot; the reader sniffs file
+/// `users_path` + `tweets_path` name a TSV pair; the reader sniffs file
 /// contents (magic bytes, never extensions) and picks the decoder.
 struct CorpusSpec {
   std::string corpus_path;
   std::string users_path;
   std::string tweets_path;
-  /// Malformed-row handling for the TSV decoders (strict by default).
+  /// Malformed-row handling for the TSV decoder (strict by default).
   twitter::Dataset::TsvLoadOptions tsv;
   /// v3 open options (CRC verification on by default).
   CorpusViewOptions view;
 };
 
-/// One façade over every corpus load path (DESIGN.md §14). Legacy
-/// formats are decoded into a row-oriented twitter::Dataset at Open; a
-/// v3 corpus is opened as a zero-copy CorpusView and only materialized
-/// into a Dataset on demand (the columnar study path never needs it).
+/// One façade over every corpus load path (DESIGN.md §14). Every format
+/// opens into a CorpusView: a v3 corpus zero-copy off its mapping, a TSV
+/// pair decoded and encoded into an in-memory arena image. The batch
+/// study and the inference build read that view; a row-oriented Dataset
+/// is only materialized on demand (the stream engine ingests rows).
 ///
 ///   STIR_ASSIGN_OR_RETURN(auto reader, CorpusReader::Open(spec));
-///   if (reader.has_view()) RunColumnar(reader.view());
-///   else                   RunBatch(*reader.dataset());
+///   RunStudy(reader.view());
 class CorpusReader {
  public:
   /// Sniffs the on-disk format of `path` from its leading bytes.
-  /// IOError when unreadable; a file with no known magic is TSV.
+  /// IOError when unreadable; InvalidArgument for a retired v2 tweet
+  /// column snapshot (STIRCOL1/STIRCOL2); a file with no known magic is
+  /// TSV.
   static StatusOr<CorpusFormat> SniffFormat(const std::string& path);
 
   static StatusOr<CorpusReader> Open(const CorpusSpec& spec);
 
   CorpusFormat format() const { return format_; }
 
-  /// True when a zero-copy view is available (v3 corpora).
-  bool has_view() const { return view_.has_value(); }
-  const CorpusView& view() const { return *view_; }
+  const CorpusView& view() const { return view_; }
 
-  /// The materialized dataset, or nullptr for a v3 corpus that has not
-  /// been materialized yet.
+  /// The row-oriented dataset: the decoded TSV pair, or a v3 corpus once
+  /// Materialize() has run; nullptr otherwise.
   const twitter::Dataset* dataset() const {
     return dataset_ ? &*dataset_ : nullptr;
   }
@@ -64,17 +62,13 @@ class CorpusReader {
   /// Materializes (for v3) and returns the row-oriented dataset.
   StatusOr<const twitter::Dataset*> Materialize();
 
-  /// Moves the dataset out (single-use CLI loads); materializes first
-  /// when needed.
-  StatusOr<twitter::Dataset> TakeDataset();
-
-  /// Quarantine counts from the TSV decoders (zero for v3).
+  /// Quarantine counts from the TSV decoder (zero for v3).
   const twitter::Dataset::TsvLoadStats& tsv_stats() const {
     return tsv_stats_;
   }
 
   /// True when a ground-truth sidecar (truth_sidecar.h) sits next to the
-  /// opened corpus — `<corpus>.truth`, or `<tweets>.truth` for a legacy
+  /// opened corpus — `<corpus>.truth`, or `<tweets>.truth` for a TSV
   /// pair. Surfaced so evaluation tooling (`stir_cli infer`) can score
   /// predictions without regenerating; the serving and inference layers
   /// never read it.
@@ -83,9 +77,8 @@ class CorpusReader {
 
  private:
   CorpusFormat format_ = CorpusFormat::kTsv;
-  std::optional<CorpusView> view_;
+  CorpusView view_;
   std::optional<twitter::Dataset> dataset_;
-  twitter::Dataset::TsvLoadOptions tsv_options_;
   twitter::Dataset::TsvLoadStats tsv_stats_;
   std::string truth_path_;  ///< Empty when no sidecar was found.
 };

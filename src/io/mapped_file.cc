@@ -66,28 +66,41 @@ StatusOr<MappedFile> MappedFile::Open(const std::string& path) {
   return file;
 }
 
-MappedFile::~MappedFile() {
-  if (data_ != nullptr) {
+MappedFile MappedFile::FromBuffer(std::unique_ptr<uint64_t[]> words,
+                                  size_t size, std::string name) {
+  MappedFile image;
+  image.owned_ = std::move(words);
+  image.data_ = reinterpret_cast<const char*>(image.owned_.get());
+  image.size_ = size;
+  image.path_ = std::move(name);
+  return image;
+}
+
+void MappedFile::Unmap() {
+  if (data_ != nullptr && owned_ == nullptr) {
     ::munmap(const_cast<char*>(data_), size_);
     g_mapped_now.fetch_sub(static_cast<int64_t>(size_));
   }
 }
 
+MappedFile::~MappedFile() { Unmap(); }
+
 MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(other.data_), size_(other.size_), path_(std::move(other.path_)) {
+    : data_(other.data_),
+      size_(other.size_),
+      path_(std::move(other.path_)),
+      owned_(std::move(other.owned_)) {
   other.data_ = nullptr;
   other.size_ = 0;
 }
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this != &other) {
-    if (data_ != nullptr) {
-      ::munmap(const_cast<char*>(data_), size_);
-      g_mapped_now.fetch_sub(static_cast<int64_t>(size_));
-    }
+    Unmap();
     data_ = other.data_;
     size_ = other.size_;
     path_ = std::move(other.path_);
+    owned_ = std::move(other.owned_);
     other.data_ = nullptr;
     other.size_ = 0;
   }
@@ -107,7 +120,10 @@ void MappedFile::AdviseRandom() const {
 }
 
 void MappedFile::ReleaseRange(size_t offset, size_t length) const {
-  if (data_ == nullptr || length == 0 || offset >= size_) return;
+  if (data_ == nullptr || owned_ != nullptr || length == 0 ||
+      offset >= size_) {
+    return;
+  }
   size_t end = offset + length;
   if (end > size_) end = size_;
   // Round inward: never drop pages shared with bytes outside the range.

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/status.h"
@@ -17,11 +18,22 @@ namespace stir::io {
 /// Process-wide accounting: every live mapping contributes to
 /// MappedBytesNow()/MappedBytesPeak(), which the bench harness reports
 /// next to peak RSS to prove out-of-core behavior (RSS ≪ bytes mapped).
+///
+/// A MappedFile can instead own an in-memory image (FromBuffer): the
+/// same read-only byte range, held in process memory rather than mapped
+/// from a file. Such an image is not counted as mapped, and
+/// ReleaseRange leaves it intact.
 class MappedFile {
  public:
   /// Maps `path` read-only. IOError when the file cannot be opened or
   /// mapped. Empty files map to size()==0 with data()==nullptr.
   static StatusOr<MappedFile> Open(const std::string& path);
+
+  /// Takes ownership of `words`, whose first `size` bytes are the image
+  /// (8-byte aligned, like a page-aligned mapping). `name` stands in for
+  /// the path in messages. Makes no filesystem call.
+  static MappedFile FromBuffer(std::unique_ptr<uint64_t[]> words, size_t size,
+                               std::string name);
 
   MappedFile() = default;
   ~MappedFile();
@@ -43,13 +55,17 @@ class MappedFile {
   /// re-faults from the file on next touch). Out-of-core shard scans call
   /// this after finishing a shard so peak RSS stays bounded by the shard
   /// working set. Offsets are rounded inward to page boundaries;
-  /// best-effort.
+  /// best-effort. A no-op on an owned image: MADV_DONTNEED would
+  /// zero-fill its private anonymous pages instead of re-reading them.
   void ReleaseRange(size_t offset, size_t length) const;
 
  private:
+  void Unmap();
+
   const char* data_ = nullptr;
   size_t size_ = 0;
   std::string path_;
+  std::unique_ptr<uint64_t[]> owned_;  ///< Set for an in-memory image.
 };
 
 /// Bytes currently mapped / high-water mark across all live MappedFiles

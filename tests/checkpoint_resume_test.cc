@@ -16,6 +16,7 @@
 #include "core/study.h"
 #include "geo/geocode_journal.h"
 #include "io/atomic_file.h"
+#include "io/corpus.h"
 #include "twitter/generator.h"
 
 namespace stir::core {
@@ -138,10 +139,20 @@ TEST(StudyCheckpointTest, DeserializeRejectsCorruptPayload) {
 TEST_F(CheckpointResumeTest, FingerprintsDetectChangedInputs) {
   twitter::GeneratedData data = Generate(0.02);
   twitter::GeneratedData other = Generate(0.03);
-  EXPECT_EQ(DatasetFingerprint(data.dataset),
-            DatasetFingerprint(data.dataset));
-  EXPECT_NE(DatasetFingerprint(data.dataset),
-            DatasetFingerprint(other.dataset));
+  auto view = io::CorpusView::FromDataset(data.dataset);
+  auto same = io::CorpusView::FromDataset(data.dataset);
+  auto other_view = io::CorpusView::FromDataset(other.dataset);
+  ASSERT_TRUE(view.ok() && same.ok() && other_view.ok());
+  EXPECT_EQ(CorpusFingerprint(*view), CorpusFingerprint(*same));
+  EXPECT_NE(CorpusFingerprint(*view), CorpusFingerprint(*other_view));
+
+  // A corpus file written from the same dataset fingerprints the same as
+  // its in-memory image, so a checkpoint resumes across the two.
+  const std::string path = MakeCheckpointDir("fingerprint") + "/c.stir";
+  ASSERT_TRUE(io::CorpusWriter::WriteDataset(data.dataset, path).ok());
+  auto file_view = io::CorpusView::Open(path);
+  ASSERT_TRUE(file_view.ok()) << file_view.status().ToString();
+  EXPECT_EQ(CorpusFingerprint(*file_view), CorpusFingerprint(*view));
 
   StudyConfig config;
   uint64_t base = ConfigFingerprint(config);

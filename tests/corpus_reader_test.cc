@@ -4,11 +4,11 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "core/report.h"
 #include "core/study.h"
-#include "twitter/column_store.h"
 #include "twitter/generator.h"
 
 namespace stir::io {
@@ -21,9 +21,8 @@ std::filesystem::path TempPath(const char* name) {
          (std::to_string(::getpid()) + "_" + name);
 }
 
-/// One generated corpus persisted in all three formats. The fixture is
-/// built once (SetUpTestSuite) because every test re-opens the same
-/// files.
+/// One generated corpus persisted in both formats. The fixture is built
+/// once (SetUpTestSuite) because every test re-opens the same files.
 class CorpusReaderTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -33,19 +32,15 @@ class CorpusReaderTest : public ::testing::Test {
     data_ = new twitter::GeneratedData(generator.Generate());
     users_tsv_ = TempPath("reader_users.tsv").string();
     tweets_tsv_ = TempPath("reader_tweets.tsv").string();
-    tweets_col_ = TempPath("reader_tweets.col").string();
     arena_ = TempPath("reader.corpus").string();
     ASSERT_TRUE(
         data_->dataset.SaveTsv(users_tsv_, tweets_tsv_).ok());
-    ASSERT_TRUE(twitter::TweetColumnStore::FromDataset(data_->dataset)
-                    .Save(tweets_col_)
-                    .ok());
     ASSERT_TRUE(CorpusWriter::WriteDataset(data_->dataset, arena_).ok());
   }
 
   static void TearDownTestSuite() {
     for (const std::string* path :
-         {&users_tsv_, &tweets_tsv_, &tweets_col_, &arena_}) {
+         {&users_tsv_, &tweets_tsv_, &arena_}) {
       std::filesystem::remove(*path);
     }
     delete data_;
@@ -55,23 +50,18 @@ class CorpusReaderTest : public ::testing::Test {
   static twitter::GeneratedData* data_;
   static std::string users_tsv_;
   static std::string tweets_tsv_;
-  static std::string tweets_col_;
   static std::string arena_;
 };
 
 twitter::GeneratedData* CorpusReaderTest::data_ = nullptr;
 std::string CorpusReaderTest::users_tsv_;
 std::string CorpusReaderTest::tweets_tsv_;
-std::string CorpusReaderTest::tweets_col_;
 std::string CorpusReaderTest::arena_;
 
 TEST_F(CorpusReaderTest, SniffsEveryFormatFromMagicBytes) {
   auto tsv = CorpusReader::SniffFormat(tweets_tsv_);
   ASSERT_TRUE(tsv.ok());
   EXPECT_EQ(*tsv, CorpusFormat::kTsv);
-  auto col = CorpusReader::SniffFormat(tweets_col_);
-  ASSERT_TRUE(col.ok());
-  EXPECT_EQ(*col, CorpusFormat::kColumnV2);
   auto arena = CorpusReader::SniffFormat(arena_);
   ASSERT_TRUE(arena.ok());
   EXPECT_EQ(*arena, CorpusFormat::kArenaV3);
@@ -87,26 +77,17 @@ TEST_F(CorpusReaderTest, EveryFormatDecodesTheSameCorpus) {
   EXPECT_EQ(tsv->format(), CorpusFormat::kTsv);
   ASSERT_NE(tsv->dataset(), nullptr);
 
-  CorpusSpec col_spec;
-  col_spec.users_path = users_tsv_;
-  col_spec.tweets_path = tweets_col_;
-  auto col = CorpusReader::Open(col_spec);
-  ASSERT_TRUE(col.ok()) << col.status().ToString();
-  EXPECT_EQ(col->format(), CorpusFormat::kColumnV2);
-  ASSERT_NE(col->dataset(), nullptr);
-
   CorpusSpec arena_spec;
   arena_spec.corpus_path = arena_;
   auto arena = CorpusReader::Open(arena_spec);
   ASSERT_TRUE(arena.ok()) << arena.status().ToString();
   EXPECT_EQ(arena->format(), CorpusFormat::kArenaV3);
-  ASSERT_TRUE(arena->has_view());
   EXPECT_EQ(arena->dataset(), nullptr);  // not materialized yet
   auto materialized = arena->Materialize();
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
 
   const twitter::Dataset& d = data_->dataset;
-  for (const CorpusReader* reader : {&*tsv, &*col, &*arena}) {
+  for (const CorpusReader* reader : {&*tsv, &*arena}) {
     EXPECT_EQ(reader->dataset()->users().size(), d.users().size());
     EXPECT_EQ(reader->dataset()->tweets().size(), d.tweets().size());
     EXPECT_EQ(reader->dataset()->gps_tweet_count(), d.gps_tweet_count());
@@ -141,9 +122,9 @@ TEST_F(CorpusReaderTest, MisroutedPathsAreRejectedWithGuidance) {
 }
 
 TEST_F(CorpusReaderTest, StudyReportsAreByteIdenticalAcrossFormats) {
-  // The tentpole guarantee: the same study over the TSV-decoded dataset,
-  // the v2-decoded dataset, and the zero-copy v3 view renders the same
-  // bytes — funnel, group table, and report.json.
+  // The tentpole guarantee: the same study over the TSV-decoded dataset
+  // and the zero-copy v3 view renders the same bytes — funnel, group
+  // table, and report.json.
   const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
   core::CorrelationStudy study(&db);
 
@@ -154,26 +135,18 @@ TEST_F(CorpusReaderTest, StudyReportsAreByteIdenticalAcrossFormats) {
   ASSERT_TRUE(tsv.ok());
   core::StudyResult from_tsv = study.Run(*tsv->dataset());
 
-  CorpusSpec col_spec;
-  col_spec.users_path = users_tsv_;
-  col_spec.tweets_path = tweets_col_;
-  auto col = CorpusReader::Open(col_spec);
-  ASSERT_TRUE(col.ok());
-  core::StudyResult from_col = study.Run(*col->dataset());
-
   CorpusSpec arena_spec;
   arena_spec.corpus_path = arena_;
   auto arena = CorpusReader::Open(arena_spec);
   ASSERT_TRUE(arena.ok());
   core::StudyResult from_view = study.Run(arena->view());
 
-  EXPECT_EQ(from_tsv.FunnelString(), from_col.FunnelString());
   EXPECT_EQ(from_tsv.FunnelString(), from_view.FunnelString());
-  EXPECT_EQ(from_tsv.GroupTableString(), from_col.GroupTableString());
   EXPECT_EQ(from_tsv.GroupTableString(), from_view.GroupTableString());
   EXPECT_EQ(core::StudyReportJsonString(from_tsv),
             core::StudyReportJsonString(from_view));
-  EXPECT_EQ(core::StudyReportJsonString(from_col),
+  // A TSV pair opens into an in-memory view of its own.
+  EXPECT_EQ(core::StudyReportJsonString(study.Run(tsv->view())),
             core::StudyReportJsonString(from_view));
 }
 
@@ -201,20 +174,43 @@ TEST_F(CorpusReaderTest, ColumnarStudyMatchesDatasetStudyInParallel) {
             core::StudyReportJsonString(from_view));
 }
 
-TEST_F(CorpusReaderTest, TakeDatasetMaterializesAndMoves) {
-  CorpusSpec arena_spec;
-  arena_spec.corpus_path = arena_;
-  auto arena = CorpusReader::Open(arena_spec);
-  ASSERT_TRUE(arena.ok());
-  auto taken = arena->TakeDataset();
-  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
-  EXPECT_EQ(taken->users().size(), data_->dataset.users().size());
-  EXPECT_EQ(arena->dataset(), nullptr);  // moved out
+TEST_F(CorpusReaderTest, RetiredColumnSnapshotIsRejectedByName) {
+  // A leftover v2 tweet column snapshot (or its v1 predecessor) is a
+  // typed error naming the retired format, not a TSV parse failure.
+  for (const char* magic : {"STIRCOL1", "STIRCOL2"}) {
+    const std::string path = TempPath("reader_retired.col").string();
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << magic << std::string(56, '\0');
+    }
+    auto sniffed = CorpusReader::SniffFormat(path);
+    ASSERT_FALSE(sniffed.ok()) << magic;
+    EXPECT_TRUE(sniffed.status().IsInvalidArgument()) << magic;
+    EXPECT_NE(sniffed.status().message().find("retired"), std::string::npos)
+        << sniffed.status().ToString();
+    EXPECT_NE(sniffed.status().message().find(magic), std::string::npos)
+        << sniffed.status().ToString();
+
+    CorpusSpec spec;
+    spec.users_path = users_tsv_;
+    spec.tweets_path = path;
+    auto opened = CorpusReader::Open(spec);
+    ASSERT_FALSE(opened.ok()) << magic;
+    EXPECT_TRUE(opened.status().IsInvalidArgument()) << magic;
+    EXPECT_NE(opened.status().message().find("retired"), std::string::npos);
+
+    CorpusSpec as_corpus;
+    as_corpus.corpus_path = path;
+    auto as_corpus_opened = CorpusReader::Open(as_corpus);
+    ASSERT_FALSE(as_corpus_opened.ok()) << magic;
+    EXPECT_NE(as_corpus_opened.status().message().find("retired"),
+              std::string::npos);
+    std::filesystem::remove(path);
+  }
 }
 
 TEST_F(CorpusReaderTest, FormatNamesAreStable) {
   EXPECT_STREQ(CorpusFormatName(CorpusFormat::kTsv), "tsv");
-  EXPECT_STREQ(CorpusFormatName(CorpusFormat::kColumnV2), "column-v2");
   EXPECT_STREQ(CorpusFormatName(CorpusFormat::kArenaV3), "arena-v3");
 }
 

@@ -3,11 +3,13 @@
 //  * ArenaSmoke — a downscaled 1M-row variant (tens of thousands of
 //    users, ~1M total tweets) that runs in seconds and stays in the
 //    default ctest sweep, so tier-1 always exercises the streamed
-//    writer + columnar study end to end.
+//    writer + view study end to end.
 //  * ArenaAtScale (ctest -L scale) — the heavyweight lane: hundreds of
 //    thousands of users streamed to disk, studied off the mmap, and the
-//    result byte-compared against the row-store path. The scale label
-//    also runs under the ASan lane (see tests/CMakeLists.txt).
+//    result byte-compared against the same study over the in-memory
+//    generated dataset, which runs on an in-memory arena image of it
+//    (CorpusView::FromDataset) rather than on the mapped file. The scale
+//    label also runs under the ASan lane (see tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
 #include <unistd.h>

@@ -4,12 +4,17 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "core/report.h"
+#include "core/study.h"
 #include "io/corpus_reader.h"
+#include "io/fault_fs.h"
 #include "twitter/generator.h"
 
 namespace stir::io {
@@ -56,6 +61,12 @@ twitter::Dataset MakeDataset() {
   add_tweet(103, 11, 2000, std::nullopt, "plain\ttext\nwith bytes");
   add_tweet(104, 7, 1020, geo::LatLng{37.51, 127.05}, "gps tweet");
   return dataset;
+}
+
+std::string ReadFileBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 TEST(CorpusWriterTest, RoundTripIsFieldIdentical) {
@@ -241,6 +252,122 @@ TEST_F(CorpusCorruptionTest, RejectsHeaderSizeMismatch) {
   auto view = CorpusView::Open(path.string());
   EXPECT_FALSE(view.ok());
   std::filesystem::remove(path);
+}
+
+// --- The in-memory image (CorpusView::FromDataset) ----------------------
+
+twitter::GeneratedData GenerateKorean(double scale) {
+  const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
+  return twitter::DatasetGenerator(
+             &db, twitter::DatasetGenerator::KoreanConfig(scale))
+      .Generate();
+}
+
+TEST(CorpusImageTest, ImageBytesEqualTheWrittenFile) {
+  // Grouped (the generator's order) and ungrouped (MakeDataset
+  // interleaves users, so the CSR permutation is written) datasets; the
+  // file writer spills every 64 rows so spilled columns are covered too.
+  twitter::GeneratedData data = GenerateKorean(0.02);
+  const twitter::Dataset ungrouped = MakeDataset();
+  struct Case {
+    const char* name;
+    const twitter::Dataset* dataset;
+    bool grouped;
+  };
+  for (const Case& c : {Case{"grouped", &data.dataset, true},
+                        Case{"ungrouped", &ungrouped, false}}) {
+    for (size_t spill_rows :
+         {size_t{64}, CorpusWriterOptions().tweet_spill_rows}) {
+      std::filesystem::path path = TempPath("corpus_image.corpus");
+      CorpusWriterOptions options;
+      options.tweet_spill_rows = spill_rows;
+      options.fsync = false;
+      auto stats =
+          CorpusWriter::WriteDataset(*c.dataset, path.string(), options);
+      ASSERT_TRUE(stats.ok()) << c.name << ": " << stats.status().ToString();
+      EXPECT_EQ(stats->grouped, c.grouped) << c.name;
+
+      auto image = CorpusWriter::EncodeDataset(*c.dataset);
+      ASSERT_TRUE(image.ok()) << c.name << ": " << image.status().ToString();
+      const std::string file_bytes = ReadFileBytes(path);
+      EXPECT_EQ(image->size(), file_bytes.size()) << c.name;
+      EXPECT_TRUE(std::string_view(image->data(), image->size()) == file_bytes)
+          << c.name << ": in-memory image differs from the written file";
+      std::filesystem::remove(path);
+    }
+
+    auto view = CorpusView::FromDataset(*c.dataset);
+    ASSERT_TRUE(view.ok()) << c.name << ": " << view.status().ToString();
+    EXPECT_EQ(view->grouped(), c.grouped) << c.name;
+    EXPECT_EQ(view->window_count(), 0) << c.name;  // no verify windows
+    EXPECT_EQ(view->user_count(), c.dataset->users().size()) << c.name;
+    EXPECT_EQ(view->tweet_count(), c.dataset->tweets().size()) << c.name;
+  }
+}
+
+TEST(CorpusImageTest, DatasetStudyMakesNoFilesystemCall) {
+  // Every write faulted and every verify window flipped: an image that
+  // went through a file (or through io::FaultFs at all) would fail or be
+  // quarantined. The in-memory image runs the study untouched.
+  const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
+  twitter::GeneratedData data = GenerateKorean(0.02);
+  core::CorrelationStudy study(&db);
+  FaultFs::Instance().Reset();
+  const std::string clean =
+      core::StudyReportJsonString(study.Run(data.dataset));
+
+  FaultFsOptions options;
+  options.seed = 11;
+  options.write_error_rate = 1.0;
+  options.page_flip_rate = 1.0;
+  FaultFs::Instance().Configure(options);
+  const FaultFsStats before = FaultFs::Instance().stats();
+  core::StudyResult armed = study.Run(data.dataset);
+  const FaultFsStats after = FaultFs::Instance().stats();
+  FaultFs::Instance().Reset();
+
+  EXPECT_EQ(core::StudyReportJsonString(armed), clean);
+  EXPECT_EQ(armed.funnel.corrupt_window_users, 0);
+  EXPECT_EQ(after.injected, before.injected);
+  EXPECT_EQ(after.write_errors, before.write_errors);
+  EXPECT_EQ(after.page_flips, before.page_flips);
+  EXPECT_EQ(after.quarantined, before.quarantined);
+  EXPECT_EQ(after.surfaced, before.surfaced);
+}
+
+TEST(CorpusImageTest, ReleasedRowsReadBackUnchanged) {
+  // Open and the shard scans release tweet rows. On a mapped file the
+  // pages re-fault from disk; an in-memory image must survive every
+  // release byte for byte (MADV_DONTNEED would zero-fill anonymous
+  // memory), so the columns must still equal the source dataset.
+  twitter::GeneratedData data = GenerateKorean(0.05);
+  const std::vector<twitter::Tweet>& tweets = data.dataset.tweets();
+  auto view = CorpusView::FromDataset(data.dataset);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  ASSERT_EQ(view->tweet_count(), tweets.size());
+  // Enough rows that even the narrowest (4-byte) tweet column spans
+  // whole pages, so the release really drops some.
+  ASSERT_GT(view->tweet_count() * sizeof(uint32_t), 2 * 4096u);
+
+  auto mismatched_rows = [&] {
+    int64_t bad = 0;
+    for (size_t row = 0; row < tweets.size(); ++row) {
+      const twitter::Tweet& want = tweets[row];
+      const twitter::Tweet got = view->MaterializeTweet(row);
+      bool same = got.id == want.id && got.user == want.user &&
+                  got.time == want.time && got.text == want.text &&
+                  got.gps.has_value() == want.gps.has_value();
+      if (same && want.gps) {
+        same = std::memcmp(&got.gps->lat, &want.gps->lat, 8) == 0 &&
+               std::memcmp(&got.gps->lng, &want.gps->lng, 8) == 0;
+      }
+      if (!same) ++bad;
+    }
+    return bad;
+  };
+  EXPECT_EQ(mismatched_rows(), 0) << "before release";
+  view->ReleaseTweetRows(0, view->tweet_count());
+  EXPECT_EQ(mismatched_rows(), 0) << "after ReleaseTweetRows";
 }
 
 }  // namespace

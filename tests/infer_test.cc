@@ -36,7 +36,6 @@
 #include "stream/engine.h"
 #include "text/gazetteer_matcher.h"
 #include "text/normalize.h"
-#include "twitter/column_store.h"
 #include "twitter/dataset.h"
 #include "twitter/generator.h"
 
@@ -565,7 +564,6 @@ TEST_F(InferCorpusTest, PredictionsAreBlindToProfileStringsAndTruthSidecar) {
   spec.corpus_path = corpus_path;
   auto reader = io::CorpusReader::Open(spec);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  ASSERT_TRUE(reader->has_view());
   InferenceIndex from_corpus = InferenceIndex::Build(reader->view(), *db_);
   EXPECT_EQ(Fingerprint(from_corpus), baseline_evidence);
   EXPECT_EQ(Decisions(from_corpus, InferParams{}), baseline_decisions);
@@ -575,18 +573,12 @@ TEST_F(InferCorpusTest, EvidenceIsIdenticalAcrossAllThreeCorpusFormats) {
   std::filesystem::path dir = FreshDir("stir_infer_formats");
   const std::string baseline = Fingerprint(*index_);
 
-  // v1: the TSV interchange pair.
+  // The TSV interchange pair (decoded into an in-memory arena view).
   const std::string users_tsv = (dir / "users.tsv").string();
   const std::string tweets_tsv = (dir / "tweets.tsv").string();
   ASSERT_TRUE(data_->dataset.SaveTsv(users_tsv, tweets_tsv).ok());
 
-  // v2: users TSV + binary tweet column snapshot.
-  const std::string tweets_v2 = (dir / "tweets.cols").string();
-  ASSERT_TRUE(twitter::TweetColumnStore::FromDataset(data_->dataset)
-                  .Save(tweets_v2)
-                  .ok());
-
-  // v3: self-contained arena corpus.
+  // A self-contained arena corpus file.
   const std::string corpus_v3 = (dir / "corpus.stir").string();
   ASSERT_TRUE(
       io::CorpusWriter::WriteDataset(data_->dataset, corpus_v3).ok());
@@ -596,33 +588,33 @@ TEST_F(InferCorpusTest, EvidenceIsIdenticalAcrossAllThreeCorpusFormats) {
     io::CorpusSpec spec;
     io::CorpusFormat format;
   };
-  std::vector<Case> cases(3);
+  std::vector<Case> cases(2);
   cases[0].name = "tsv";
   cases[0].spec.users_path = users_tsv;
   cases[0].spec.tweets_path = tweets_tsv;
   cases[0].format = io::CorpusFormat::kTsv;
-  cases[1].name = "v2";
-  cases[1].spec.users_path = users_tsv;
-  cases[1].spec.tweets_path = tweets_v2;
-  cases[1].format = io::CorpusFormat::kColumnV2;
-  cases[2].name = "v3";
-  cases[2].spec.corpus_path = corpus_v3;
-  cases[2].format = io::CorpusFormat::kArenaV3;
+  cases[1].name = "v3";
+  cases[1].spec.corpus_path = corpus_v3;
+  cases[1].format = io::CorpusFormat::kArenaV3;
 
   for (const Case& c : cases) {
     auto reader = io::CorpusReader::Open(c.spec);
     ASSERT_TRUE(reader.ok()) << c.name << ": " << reader.status().ToString();
     EXPECT_EQ(reader->format(), c.format) << c.name;
-    if (reader->has_view()) {
-      // The zero-copy path the columnar CLI uses.
-      InferenceIndex from_view = InferenceIndex::Build(reader->view(), *db_);
-      EXPECT_EQ(Fingerprint(from_view), baseline) << c.name << " (view)";
-    }
+    // The view path the CLI and the server use.
+    InferenceIndex from_view = InferenceIndex::Build(reader->view(), *db_);
+    EXPECT_EQ(Fingerprint(from_view), baseline) << c.name << " (view)";
     auto dataset = reader->Materialize();
     ASSERT_TRUE(dataset.ok()) << c.name;
     InferenceIndex from_rows = InferenceIndex::Build(**dataset, *db_);
     EXPECT_EQ(Fingerprint(from_rows), baseline) << c.name << " (rows)";
   }
+
+  // The third encoding: the dataset's in-memory arena image.
+  auto image = io::CorpusView::FromDataset(data_->dataset);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  EXPECT_EQ(Fingerprint(InferenceIndex::Build(*image, *db_)), baseline)
+      << "in-memory image";
 }
 
 TEST_F(InferCorpusTest, InferResponsesAreByteIdenticalAcrossWorkerCounts) {

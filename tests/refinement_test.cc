@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/study_config.h"
+#include "io/corpus.h"
 #include "twitter/dataset.h"
 
 namespace stir::core {
@@ -35,9 +37,18 @@ class RefinementTest : public ::testing::Test {
     return tweet;
   }
 
+  /// The pipeline reads arena corpora; the fixture datasets are encoded
+  /// into in-memory images.
+  static io::CorpusView View(const twitter::Dataset& dataset) {
+    auto view = io::CorpusView::FromDataset(dataset);
+    EXPECT_TRUE(view.ok()) << view.status().ToString();
+    return std::move(*view);
+  }
+
   const geo::AdminDb& db_;
   text::LocationParser parser_;
   geo::ReverseGeocoder geocoder_;
+  StudyConfig config_;
 };
 
 TEST_F(RefinementTest, FunnelCountsEveryQualityClass) {
@@ -52,8 +63,8 @@ TEST_F(RefinementTest, FunnelCountsEveryQualityClass) {
   // User 6 has no GPS tweets -> drops at the second gate.
 
   FunnelStats funnel;
-  RefinementPipeline pipeline(&parser_, &geocoder_);
-  std::vector<RefinedUser> refined = pipeline.Run(dataset, &funnel);
+  RefinementPipeline pipeline(&parser_, &geocoder_, config_);
+  std::vector<RefinedUser> refined = pipeline.Run(View(dataset), &funnel);
 
   EXPECT_EQ(funnel.crawled_users, 6);
   EXPECT_EQ(funnel.quality_counts[static_cast<int>(
@@ -84,8 +95,8 @@ TEST_F(RefinementTest, GeocodeFailuresCountedNotFatal) {
   dataset.AddTweet(GpsTweet(2, 1, {20.0, -150.0}));       // mid-Pacific
 
   FunnelStats funnel;
-  RefinementPipeline pipeline(&parser_, &geocoder_);
-  std::vector<RefinedUser> refined = pipeline.Run(dataset, &funnel);
+  RefinementPipeline pipeline(&parser_, &geocoder_, config_);
+  std::vector<RefinedUser> refined = pipeline.Run(View(dataset), &funnel);
   EXPECT_EQ(funnel.geocode_failures, 1);
   ASSERT_EQ(refined.size(), 1u);
   EXPECT_EQ(refined[0].tweet_regions.size(), 1u);
@@ -96,8 +107,8 @@ TEST_F(RefinementTest, UserWithOnlyUnGeocodableTweetsDrops) {
   dataset.AddUser(MakeUser(1, "Seoul Mapo-gu"));
   dataset.AddTweet(GpsTweet(1, 1, {20.0, -150.0}));
   FunnelStats funnel;
-  RefinementPipeline pipeline(&parser_, &geocoder_);
-  EXPECT_TRUE(pipeline.Run(dataset, &funnel).empty());
+  RefinementPipeline pipeline(&parser_, &geocoder_, config_);
+  EXPECT_TRUE(pipeline.Run(View(dataset), &funnel).empty());
   EXPECT_EQ(funnel.well_defined_users, 1);
   EXPECT_EQ(funnel.final_users, 0);
 }
@@ -112,15 +123,15 @@ TEST_F(RefinementTest, FaithfulXmlPipelineMatchesStructuredPath) {
     dataset.AddTweet(GpsTweet(t, 1, db_.SamplePointIn(*uiwang, rng)));
   }
 
-  RefinementOptions faithful;
-  faithful.faithful_xml_pipeline = true;
+  StudyConfig faithful;
+  faithful.refinement.faithful_xml_pipeline = true;
   geo::ReverseGeocoder geocoder_a(&db_), geocoder_b(&db_);
-  RefinementPipeline structured(&parser_, &geocoder_a);
+  RefinementPipeline structured(&parser_, &geocoder_a, config_);
   RefinementPipeline xml(&parser_, &geocoder_b, faithful);
 
   FunnelStats fa, fb;
-  auto a = structured.Run(dataset, &fa);
-  auto b = xml.Run(dataset, &fb);
+  auto a = structured.Run(View(dataset), &fa);
+  auto b = xml.Run(View(dataset), &fb);
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].tweet_regions, b[0].tweet_regions);
@@ -131,16 +142,16 @@ TEST_F(RefinementTest, NullFunnelPointerAccepted) {
   twitter::Dataset dataset;
   dataset.AddUser(MakeUser(1, "Seoul Mapo-gu"));
   dataset.AddTweet(GpsTweet(1, 1, {37.5663, 126.9019}));
-  RefinementPipeline pipeline(&parser_, &geocoder_);
-  EXPECT_EQ(pipeline.Run(dataset, nullptr).size(), 1u);
+  RefinementPipeline pipeline(&parser_, &geocoder_, config_);
+  EXPECT_EQ(pipeline.Run(View(dataset), nullptr).size(), 1u);
 }
 
 TEST_F(RefinementTest, TotalTweetsPreservedOnRefinedUsers) {
   twitter::Dataset dataset;
   dataset.AddUser(MakeUser(1, "Seoul Mapo-gu", 1234));
   dataset.AddTweet(GpsTweet(1, 1, {37.5663, 126.9019}));
-  RefinementPipeline pipeline(&parser_, &geocoder_);
-  auto refined = pipeline.Run(dataset, nullptr);
+  RefinementPipeline pipeline(&parser_, &geocoder_, config_);
+  auto refined = pipeline.Run(View(dataset), nullptr);
   ASSERT_EQ(refined.size(), 1u);
   EXPECT_EQ(refined[0].total_tweets, 1234);
 }

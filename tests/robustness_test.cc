@@ -17,6 +17,7 @@
 #include "core/refinement.h"
 #include "core/study.h"
 #include "geo/reverse_geocoder.h"
+#include "io/corpus.h"
 #include "text/location_parser.h"
 #include "twitter/generator.h"
 
@@ -209,10 +210,12 @@ TEST(FailureInjectionTest, FunnelCountersSumExactlyToInjectedFaults) {
   geocoder_options.retry.max_attempts = 2;
   geo::ReverseGeocoder geocoder(&db, geocoder_options);
   text::LocationParser parser(&db);
-  core::RefinementPipeline pipeline(&parser, &geocoder);
+  core::RefinementPipeline pipeline(&parser, &geocoder, StudyConfig());
 
+  auto corpus = io::CorpusView::FromDataset(data.dataset);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
   core::FunnelStats funnel;
-  std::vector<core::RefinedUser> refined = pipeline.Run(data.dataset, &funnel);
+  std::vector<core::RefinedUser> refined = pipeline.Run(*corpus, &funnel);
   EXPECT_FALSE(refined.empty());
   EXPECT_TRUE(funnel.fault_injection_enabled);
 

@@ -3,7 +3,8 @@
 # from the checkpoint directory, and byte-compares the resumed report.json
 # against an uninterrupted run. Also covers torn journal tails, fault
 # injection across the crash, threaded runs, journal-only (no checkpoint)
-# zero-quota resumes, and corrupt-durable-state degradation.
+# zero-quota resumes, corrupt-durable-state degradation, and the same
+# crash/resume scenarios on an arena corpus (--corpus).
 
 set(CRASH_EXIT 42)
 
@@ -261,5 +262,85 @@ if(NOT rc EQUAL 0)
 endif()
 expect_same_report("streaming torn stream-journal tail"
                    ${CLEAN_REPORT} ${WORK_DIR}/${name}_report/report.json)
+
+# --- Arena corpus (--corpus) --------------------------------------------
+# The batch study reads every corpus through one view path, so a mapped
+# arena corpus checkpoints exactly like a TSV pair: crash, resume, and
+# byte-compare against the uncrashed --corpus run.
+set(CORPUS ${WORK_DIR}/kr_corpus.stir)
+run_cli(rc out err generate --preset korean --scale 0.05 --corpus ${CORPUS})
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "generate --corpus failed (${rc}): ${out} ${err}")
+endif()
+set(CSTUDY study --corpus ${CORPUS})
+
+file(REMOVE_RECURSE ${WORK_DIR}/kr_corpus_clean_report)
+file(MAKE_DIRECTORY ${WORK_DIR}/kr_corpus_clean_report)
+run_cli(rc out err ${CSTUDY} --report-dir ${WORK_DIR}/kr_corpus_clean_report)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--corpus clean baseline failed (${rc}): ${err}")
+endif()
+set(CORPUS_CLEAN_REPORT ${WORK_DIR}/kr_corpus_clean_report/report.json)
+
+file(REMOVE_RECURSE ${WORK_DIR}/kr_corpus_faulty_clean_report)
+file(MAKE_DIRECTORY ${WORK_DIR}/kr_corpus_faulty_clean_report)
+run_cli(rc out err ${CSTUDY} ${FAULTY}
+        --report-dir ${WORK_DIR}/kr_corpus_faulty_clean_report)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--corpus faulty baseline failed (${rc}): ${err}")
+endif()
+
+# Each scenario: <name> | <expected clean report> | <extra study flags>.
+foreach(scenario serial threaded faulty)
+  set(name kr_corpus_${scenario})
+  set(extra)
+  set(expected ${CORPUS_CLEAN_REPORT})
+  if(scenario STREQUAL "threaded")
+    set(extra --threads 4)
+  elseif(scenario STREQUAL "faulty")
+    set(extra ${FAULTY})
+    set(expected ${WORK_DIR}/kr_corpus_faulty_clean_report/report.json)
+  endif()
+  prepare_dirs(${name})
+  run_cli(rc out err ${CSTUDY} ${extra}
+          --checkpoint-dir ${WORK_DIR}/${name}_ckpt
+          --checkpoint-every 16 --crash-after 300)
+  if(NOT rc EQUAL ${CRASH_EXIT})
+    message(FATAL_ERROR "--corpus ${scenario} crash run exited ${rc}, "
+            "expected ${CRASH_EXIT}: ${out} ${err}")
+  endif()
+  if(NOT EXISTS ${WORK_DIR}/${name}_ckpt/study.ckpt)
+    message(FATAL_ERROR "--corpus ${scenario} crash left no checkpoint")
+  endif()
+  if(err MATCHES "does not checkpoint")
+    message(FATAL_ERROR "--corpus still warns about checkpointing: ${err}")
+  endif()
+  run_cli(rc out err ${CSTUDY} ${extra}
+          --checkpoint-dir ${WORK_DIR}/${name}_ckpt --resume
+          --report-dir ${WORK_DIR}/${name}_report)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "--corpus ${scenario} resume failed (${rc}): ${err}")
+  endif()
+  expect_same_report("--corpus ${scenario} crash/resume"
+                     ${expected} ${WORK_DIR}/${name}_report/report.json)
+endforeach()
+
+# Complete, then resume with a zero quota: the refinement-done
+# checkpoint short-circuits the pipeline.
+set(name kr_corpus_done)
+prepare_dirs(${name})
+run_cli(rc out err ${CSTUDY} --checkpoint-dir ${WORK_DIR}/${name}_ckpt)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--corpus checkpointed full run failed (${rc}): ${err}")
+endif()
+run_cli(rc out err ${CSTUDY}
+        --checkpoint-dir ${WORK_DIR}/${name}_ckpt --resume
+        --geocode-quota 0 --report-dir ${WORK_DIR}/${name}_report)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--corpus resume-after-complete failed (${rc}): ${err}")
+endif()
+expect_same_report("--corpus resume after complete (quota 0)"
+                   ${CORPUS_CLEAN_REPORT}
+                   ${WORK_DIR}/${name}_report/report.json)
 
 message(STATUS "kill-resume harness passed")

@@ -400,7 +400,7 @@ int RunStudy(int argc, char** argv) {
   std::vector<Flag> flags = {
       {"users", "FILE", "input users TSV",
        [&](const std::string& v) { users_path = v; return true; }},
-      {"tweets", "FILE", "input tweets TSV or column snapshot",
+      {"tweets", "FILE", "input tweets TSV",
        [&](const std::string& v) { tweets_path = v; return true; }},
       {"corpus", "FILE",
        "input self-contained v3 arena corpus (alternative to "
@@ -719,10 +719,10 @@ int RunStudy(int argc, char** argv) {
     config.obs.metrics->GetCounter("io.dataset.quarantined")
         ->Increment(load_stats.quarantined());
   }
-  // The stream engine ingests row-oriented tweets; everything else can
-  // run zero-copy off a v3 view.
+  // The stream engine ingests row-oriented tweets; the batch study runs
+  // off the reader's view.
   const stir::twitter::Dataset* dataset = nullptr;
-  if (stream_mode || !reader->has_view()) {
+  if (stream_mode) {
     auto materialized = reader->Materialize();
     if (!materialized.ok()) {
       std::fprintf(stderr, "load failed: %s\n",
@@ -792,8 +792,7 @@ int RunStudy(int argc, char** argv) {
     }
   } else {
     stir::core::CorrelationStudy study(&db, config);
-    result = reader->has_view() ? study.Run(reader->view())
-                                : study.Run(*dataset);
+    result = study.Run(reader->view());
   }
   std::printf("%s\n%s\n%s", result.FunnelString().c_str(),
               result.GroupTableString().c_str(),
@@ -868,7 +867,7 @@ int RunInfer(int argc, char** argv) {
   std::vector<Flag> flags = {
       {"users", "FILE", "input users TSV",
        [&](const std::string& v) { users_path = v; return true; }},
-      {"tweets", "FILE", "input tweets TSV or column snapshot",
+      {"tweets", "FILE", "input tweets TSV",
        [&](const std::string& v) { tweets_path = v; return true; }},
       {"corpus", "FILE",
        "input self-contained v3 arena corpus (alternative to "
@@ -994,21 +993,10 @@ int RunInfer(int argc, char** argv) {
     return 1;
   }
 
-  // Build the evidence index from tweets only — over the zero-copy view
-  // when the corpus is v3, else over the materialized dataset. Profile
-  // strings and the truth records never reach this layer.
-  stir::infer::InferenceIndex index;
-  if (reader->has_view()) {
-    index = stir::infer::InferenceIndex::Build(reader->view(), db);
-  } else {
-    auto materialized = reader->Materialize();
-    if (!materialized.ok()) {
-      std::fprintf(stderr, "load failed: %s\n",
-                   materialized.status().ToString().c_str());
-      return 1;
-    }
-    index = stir::infer::InferenceIndex::Build(**materialized, db);
-  }
+  // Build the evidence index from tweets only. Profile strings and the
+  // truth records never reach this layer.
+  stir::infer::InferenceIndex index =
+      stir::infer::InferenceIndex::Build(reader->view(), db);
 
   std::vector<stir::infer::StrategyEval> evals;
   if (strategy_name.empty()) {

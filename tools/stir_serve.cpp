@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
   std::vector<Flag> flags = {
       {"users", "FILE", "input users TSV",
        [&](const std::string& v) { users_path = v; return true; }},
-      {"tweets", "FILE", "input tweets TSV or column snapshot",
+      {"tweets", "FILE", "input tweets TSV",
        [&](const std::string& v) { tweets_path = v; return true; }},
       {"corpus", "FILE",
        "input self-contained v3 arena corpus (alternative to "
@@ -606,9 +606,9 @@ int main(int argc, char** argv) {
                  static_cast<long long>(reader->tsv_stats().quarantined()));
   }
   // The stream engine ingests row-oriented tweets; the batch study runs
-  // zero-copy off a v3 view.
+  // off the reader's view.
   const stir::twitter::Dataset* dataset = nullptr;
-  if (!degraded && (stream_mode || !reader->has_view())) {
+  if (!degraded && stream_mode) {
     auto materialized = reader->Materialize();
     if (!materialized.ok()) {
       std::fprintf(stderr, "stir_serve: load failed: %s\n",
@@ -688,21 +688,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "stir_serve: degraded index — 0 users\n");
   } else {
     stir::core::CorrelationStudy study(&db, config);
-    stir::core::StudyResult result = reader->has_view()
-                                         ? study.Run(reader->view())
-                                         : study.Run(*dataset);
+    stir::core::StudyResult result = study.Run(reader->view());
     if (result.incomplete) {
       std::fprintf(stderr,
                    "stir_serve: study did not complete; refusing to serve\n");
       return 1;
     }
     batch_index = stir::serve::StudyIndex::Build(result, db);
-    // The inference twin reads the same corpus (zero-copy off a v3 view)
-    // but only tweet evidence — never profile strings (DESIGN.md §16).
-    batch_infer_index =
-        reader->has_view()
-            ? stir::infer::InferenceIndex::Build(reader->view(), db)
-            : stir::infer::InferenceIndex::Build(*dataset, db);
+    // The inference twin reads the same view but only tweet evidence —
+    // never profile strings (DESIGN.md §16).
+    batch_infer_index = stir::infer::InferenceIndex::Build(reader->view(), db);
     serve_options.infer_index = &batch_infer_index;
     std::fprintf(stderr,
                  "stir_serve: index ready — %zu users, %zu districts, "
