@@ -59,9 +59,7 @@ RefinementPipeline::RefinementPipeline(const text::LocationParser* parser,
 StatusOr<geo::RegionId> RefinementPipeline::Geocode(
     const geo::LatLng& point, int64_t fault_index) const {
   if (!options_.faithful_xml_pipeline) {
-    STIR_ASSIGN_OR_RETURN(geo::GeocodeResult result,
-                          geocoder_->Reverse(point, fault_index));
-    return result.region;
+    return geocoder_->Locate(point, fault_index);
   }
   // Faithful mode: serialize the response to XML, parse it back, and
   // resolve the (state, county) pair against the gazetteer — exactly the

@@ -140,9 +140,11 @@ class RefinementPipeline {
   /// contiguous shards refined in parallel and merged in shard order, so
   /// the refined vector and funnel are bit-identical to the serial run for
   /// any thread count (the geocoder must then be thread-safe, which
-  /// geo::ReverseGeocoder is; a finite geocoder quota is the one knob that
-  /// can make parallel results diverge, since which lookup exhausts it
-  /// becomes a race). Each shard advises its consumed tweet pages away
+  /// geo::ReverseGeocoder is; a finite geocoder quota or a geocode journal
+  /// can make parallel results diverge: which lookup exhausts the quota
+  /// is a race, and both switch on the geohash memo, where the first of
+  /// two points in one cell answers for both). Each shard advises its
+  /// consumed tweet pages away
   /// (madvise) once refined, keeping the resident set bounded by the
   /// shard working set rather than the file.
   ///

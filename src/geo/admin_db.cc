@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -50,11 +51,12 @@ AdminDb::AdminDb(std::vector<Region> regions, double coverage_slack_km)
       by_county_[ToLower(alias)].push_back(r.id);
     }
     by_county_[ToLower(r.county)].push_back(r.id);
-    index_.Add(r.centroid, r.id);
     coverage_.Extend(r.centroid);
   }
   // Compute the safe (Voronoi-interior) radius of every region: half the
   // distance to the nearest other centroid, capped by the footprint radius.
+  std::vector<double> nearest_km;
+  nearest_km.reserve(regions_.size());
   for (Region& r : regions_) {
     double nearest = std::numeric_limits<double>::infinity();
     for (const Region& other : regions_) {
@@ -63,7 +65,24 @@ AdminDb::AdminDb(std::vector<Region> regions, double coverage_slack_km)
     }
     double safe = std::isfinite(nearest) ? nearest * 0.45 : r.radius_km;
     r.safe_radius_km = std::min(r.radius_km, std::max(0.3, safe));
+    nearest_km.push_back(nearest);
   }
+
+  // The ownership raster's cells are a quarter of the 25th-percentile
+  // nearest-neighbour distance: fine where districts are dense, so most
+  // lookups land in a cell one district owns outright.
+  std::vector<LatLng> centroids;
+  std::vector<double> reach_km;
+  for (const Region& r : regions_) {
+    centroids.push_back(r.centroid);
+    reach_km.push_back(r.radius_km + coverage_slack_km_);
+  }
+  auto quartile = nearest_km.begin() +
+                  static_cast<std::ptrdiff_t>(nearest_km.size() / 4);
+  std::nth_element(nearest_km.begin(), quartile, nearest_km.end());
+  const double cell_km = *quartile / 4.0;
+  raster_.emplace(std::move(centroids), std::move(reach_km),
+                  std::isfinite(cell_km) && cell_km > 0.0 ? cell_km : 1.0);
 
   // Intern-once name table: dedupe (state, county) pairs into dense
   // keys, then rank each key by its "state#county" bytes — the exact
@@ -143,14 +162,11 @@ StatusOr<RegionId> AdminDb::Locate(const LatLng& point) const {
   if (!point.IsValid()) {
     return Status::InvalidArgument("invalid coordinate: " + point.ToString());
   }
-  int64_t id = index_.Nearest(point);
-  if (id < 0) return Status::NotFound("empty gazetteer");
-  const Region& r = region(static_cast<RegionId>(id));
-  double d = ApproxDistanceKm(point, r.centroid);
-  if (d > r.radius_km + coverage_slack_km_) {
+  const RegionId id = raster_->Locate(point);
+  if (id == kInvalidRegion) {
     return Status::NotFound("point outside coverage: " + point.ToString());
   }
-  return r.id;
+  return id;
 }
 
 LatLng AdminDb::SamplePointIn(RegionId id, Rng& rng) const {

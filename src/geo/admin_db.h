@@ -2,6 +2,7 @@
 #define STIR_GEO_ADMIN_DB_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -9,7 +10,7 @@
 
 #include "common/random.h"
 #include "common/status.h"
-#include "geo/grid_index.h"
+#include "geo/district_raster.h"
 #include "geo/latlng.h"
 
 namespace stir::geo {
@@ -65,9 +66,9 @@ struct DistrictNameTable {
 };
 
 /// In-memory gazetteer of administrative districts with reverse-geocoding
-/// support (grid-accelerated nearest-centroid assignment — a Voronoi
-/// approximation of district polygons) and deterministic point sampling
-/// for the synthetic data generators.
+/// support (exact nearest-centroid assignment — a Voronoi approximation
+/// of district polygons — through a district-ownership raster) and
+/// deterministic point sampling for the synthetic data generators.
 ///
 /// Two built-in instances mirror the paper's two datasets:
 ///  * KoreanDistricts(): 17 first-level si/do and ~190 si/gun/gu with real
@@ -102,9 +103,11 @@ class AdminDb {
   /// paper flags for free-text profile locations.
   StatusOr<RegionId> FindCountyAnyState(std::string_view county) const;
 
-  /// Reverse geocoding: the region whose centroid is nearest to `point`,
-  /// when the point lies within the region's footprint plus the coverage
-  /// slack. NotFound for points outside coverage (open sea, abroad).
+  /// Reverse geocoding: the region whose centroid is nearest to `point`
+  /// by ApproxDistanceKm (the lowest id on ties), when the point lies
+  /// within the region's footprint plus the coverage slack. NotFound for
+  /// points outside coverage (open sea, abroad). Mostly one array read
+  /// (see DistrictRaster).
   StatusOr<RegionId> Locate(const LatLng& point) const;
 
   /// Deterministically samples a point inside the region's safe radius
@@ -113,6 +116,13 @@ class AdminDb {
 
   /// Bounding box of all centroids.
   BoundingBox Coverage() const { return coverage_; }
+  /// How far past its footprint radius a region still claims a point.
+  double coverage_slack_km() const { return coverage_slack_km_; }
+
+  /// The raster behind Locate. Its cell side is a quarter of the
+  /// 25th-percentile distance between a centroid and its nearest
+  /// neighbour.
+  const DistrictRaster& raster() const { return *raster_; }
 
   /// The precomputed intern-once name table (see DistrictNameTable).
   const DistrictNameTable& district_names() const { return district_names_; }
@@ -132,9 +142,10 @@ class AdminDb {
   std::vector<std::string> states_;
   std::unordered_map<std::string, RegionId> by_state_county_;
   std::unordered_map<std::string, std::vector<RegionId>> by_county_;
-  GridIndex index_;
   BoundingBox coverage_;
   double coverage_slack_km_;
+  /// Built once the regions are final (always engaged after construction).
+  std::optional<DistrictRaster> raster_;
   DistrictNameTable district_names_;
 };
 

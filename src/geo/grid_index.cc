@@ -30,52 +30,6 @@ void GridIndex::Add(const LatLng& point, int64_t id) {
   cells_[CellKey(RowOf(point.lat), ColOf(point.lng))].push_back(slot);
 }
 
-int64_t GridIndex::Nearest(const LatLng& query, double max_distance_km) const {
-  if (points_.empty()) return -1;
-  int center_row = RowOf(query.lat);
-  int center_col = ColOf(query.lng);
-
-  // Expanding ring search. After finding a candidate at ring r we search
-  // one extra ring (the guard ring) because a closer point can live in
-  // ring r+1 when the query sits near a cell edge.
-  int64_t best_id = -1;
-  double best_km = max_distance_km;
-  double cos_lat = std::max(0.05, std::cos(DegToRad(query.lat)));
-  double cell_km = cell_deg_ * 111.32 * cos_lat;
-  int max_ring = static_cast<int>(
-      std::min(1e6, std::isfinite(max_distance_km)
-                        ? max_distance_km / std::max(1e-9, cell_km) + 2.0
-                        : 1e6));
-  int found_at_ring = -1;
-  for (int ring = 0;; ++ring) {
-    if (found_at_ring >= 0 && ring > found_at_ring + 1) break;
-    if (ring > max_ring && found_at_ring < 0) break;
-    bool any_cell_exists = false;
-    for (int dr = -ring; dr <= ring; ++dr) {
-      for (int dc = -ring; dc <= ring; ++dc) {
-        // Visit only the ring perimeter.
-        if (std::max(std::abs(dr), std::abs(dc)) != ring) continue;
-        auto it = cells_.find(CellKey(center_row + dr, center_col + dc));
-        if (it == cells_.end()) continue;
-        any_cell_exists = true;
-        for (uint32_t slot : it->second) {
-          const Entry& e = points_[slot];
-          double d = ApproxDistanceKm(query, e.point);
-          if (d < best_km || (best_id == -1 && d <= best_km)) {
-            best_km = d;
-            best_id = e.id;
-            if (found_at_ring < 0) found_at_ring = ring;
-          }
-        }
-      }
-    }
-    (void)any_cell_exists;
-    // Safety stop: searched far beyond any stored point.
-    if (ring > 2000) break;
-  }
-  return best_id;
-}
-
 std::vector<int64_t> GridIndex::WithinRadius(const LatLng& query,
                                              double radius_km) const {
   std::vector<int64_t> result;

@@ -2,7 +2,6 @@
 #define STIR_GEO_GRID_INDEX_H_
 
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -10,12 +9,9 @@
 
 namespace stir::geo {
 
-/// Uniform lat/lng grid over point payloads. Supports nearest-neighbour
-/// and radius queries; this is the accelerator behind reverse geocoding
-/// (a few hundred district centroids, millions of lookups).
-///
-/// Cells are `cell_deg` degrees on a side. Nearest-neighbour searches ring
-/// by ring outward, with the usual guard ring to make the result exact.
+/// Uniform lat/lng grid over point payloads for radius queries (the
+/// polygon locator's footprint candidates). Cells are `cell_deg` degrees
+/// on a side. Nearest-centroid lookups go through DistrictRaster.
 class GridIndex {
  public:
   /// `cell_deg` must be positive; 0.25 deg (~25 km) suits district-scale
@@ -26,13 +22,6 @@ class GridIndex {
   void Add(const LatLng& point, int64_t id);
 
   size_t size() const { return points_.size(); }
-
-  /// Id of the point nearest to `query` (by equirectangular-approximation
-  /// distance), or -1 when the index is empty. `max_distance_km` bounds
-  /// the search; points farther away are not returned.
-  int64_t Nearest(const LatLng& query,
-                  double max_distance_km =
-                      std::numeric_limits<double>::infinity()) const;
 
   /// Ids of all points within `radius_km` of `query`, unordered.
   std::vector<int64_t> WithinRadius(const LatLng& query,

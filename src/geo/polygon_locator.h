@@ -5,6 +5,7 @@
 
 #include "common/status.h"
 #include "geo/admin_db.h"
+#include "geo/grid_index.h"
 #include "geo/polygon.h"
 
 namespace stir::geo {

@@ -1,6 +1,7 @@
 #include "infer/inference_index.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -39,25 +40,33 @@ RegionEvidence& EvidenceBuilder::RegionOf(UserEvidence& user,
 }
 
 void EvidenceBuilder::AddTweet(const twitter::Tweet& tweet) {
-  UserEvidence& user = Slot(tweet.user);
-  ++user.tweets;
+  Fold(*db_, matcher_, tweet.gps.has_value() ? &*tweet.gps : nullptr,
+       tweet.time, tweet.text, &scratch_, &Slot(tweet.user));
+}
 
-  if (tweet.gps.has_value()) {
-    auto located = db_->Locate(*tweet.gps);
+void EvidenceBuilder::Fold(const geo::AdminDb& db,
+                           const text::GazetteerMatcher& matcher,
+                           const geo::LatLng* gps, SimTime time,
+                           std::string_view text, Scratch* scratch,
+                           UserEvidence* user) {
+  ++user->tweets;
+
+  if (gps != nullptr) {
+    auto located = db.Locate(*gps);
     if (located.ok()) {
-      RegionEvidence& region = RegionOf(user, *located);
+      RegionEvidence& region = RegionOf(*user, *located);
       ++region.gps_tweets;
-      ++user.gps_tweets;
-      if (IsNightHour(HourOfDay(tweet.time))) ++region.night_gps_tweets;
+      ++user->gps_tweets;
+      if (IsNightHour(HourOfDay(time))) ++region.night_gps_tweets;
     }
   }
 
-  if (!tweet.text.empty()) {
+  if (!text.empty()) {
     // Exact phrases only: a fuzzy near-miss is noise, not evidence, and
     // the exact scan finds exactly the exact matches of the full Match.
-    text::TokenizeTweet(tweet.text, &tokens_);
-    matcher_.ScanExact(tokens_, &matches_);
-    for (const text::PhraseMatch& match : matches_) {
+    text::TokenizeTweet(text, &scratch->tokens);
+    matcher.ScanExact(scratch->tokens, &scratch->matches);
+    for (const text::PhraseMatch& match : scratch->matches) {
       // Only unambiguous county mentions vote: a name shared by several
       // states (six Korean metros have a "Jung-gu") is noise too.
       const text::Phrase& phrase = *match.phrase;
@@ -65,9 +74,21 @@ void EvidenceBuilder::AddTweet(const twitter::Tweet& tweet) {
           phrase.regions.size() != 1) {
         continue;
       }
-      ++RegionOf(user, phrase.regions.front()).text_votes;
-      ++user.text_votes;
+      ++RegionOf(*user, phrase.regions.front()).text_votes;
+      ++user->text_votes;
     }
+  }
+}
+
+void EvidenceBuilder::Merge(const UserEvidence& from, UserEvidence* into) {
+  into->tweets += from.tweets;
+  into->gps_tweets += from.gps_tweets;
+  into->text_votes += from.text_votes;
+  for (const RegionEvidence& evidence : from.regions) {
+    RegionEvidence& region = RegionOf(*into, evidence.region);
+    region.gps_tweets += evidence.gps_tweets;
+    region.night_gps_tweets += evidence.night_gps_tweets;
+    region.text_votes += evidence.text_votes;
   }
 }
 
@@ -107,25 +128,57 @@ InferenceIndex InferenceIndex::Build(const twitter::Dataset& dataset,
 
 InferenceIndex InferenceIndex::Build(const io::CorpusView& view,
                                      const geo::AdminDb& db) {
-  EvidenceBuilder builder(&db);
-  builder.Reserve(view.user_count());
-  for (size_t row = 0; row < view.user_count(); ++row) {
-    builder.AddUser(view.user_id(row));
+  common::ThreadPool pool(
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+  return Build(view, db, &pool);
+}
+
+InferenceIndex InferenceIndex::Build(const io::CorpusView& view,
+                                     const geo::AdminDb& db,
+                                     common::ThreadPool* pool) {
+  const text::GazetteerMatcher matcher(&db);
+  // One slot per user row; each shard folds its own rows' tweets.
+  std::vector<UserEvidence> slots(view.user_count());
+  common::ParallelForShards(
+      pool, slots.size(), [&](size_t, size_t begin, size_t end) {
+        EvidenceBuilder::Scratch scratch;
+        for (size_t row = begin; row < end; ++row) {
+          UserEvidence& user = slots[row];
+          user.user = view.user_id(row);
+          for (uint64_t pos = view.user_tweet_begin(row);
+               pos < view.user_tweet_end(row); ++pos) {
+            const size_t tweet = view.user_tweet_row(pos);
+            const bool has_gps = view.tweet_has_gps(tweet);
+            const geo::LatLng gps =
+                has_gps ? view.tweet_gps(tweet) : geo::LatLng{};
+            EvidenceBuilder::Fold(db, matcher, has_gps ? &gps : nullptr,
+                                  view.tweet_time(tweet),
+                                  view.tweet_text(tweet), &scratch, &user);
+          }
+        }
+      });
+
+  // Move the slots into id order; row order breaks ties, and a repeated
+  // id folds into its first slot.
+  std::vector<uint32_t> order(slots.size());
+  for (uint32_t row = 0; row < order.size(); ++row) order[row] = row;
+  auto by_id = [&](uint32_t a, uint32_t b) {
+    return slots[a].user < slots[b].user;
+  };
+  if (!std::is_sorted(order.begin(), order.end(), by_id)) {
+    std::stable_sort(order.begin(), order.end(), by_id);
   }
-  twitter::Tweet tweet;
-  for (size_t row = 0; row < view.tweet_count(); ++row) {
-    tweet.id = view.tweet_id(row);
-    tweet.user = view.user_id(view.tweet_user_row(row));
-    tweet.time = view.tweet_time(row);
-    if (view.tweet_has_gps(row)) {
-      tweet.gps = view.tweet_gps(row);
+  InferenceIndex index;
+  index.db_ = &db;
+  index.users_.reserve(slots.size());
+  for (uint32_t row : order) {
+    if (!index.users_.empty() && index.users_.back().user == slots[row].user) {
+      EvidenceBuilder::Merge(slots[row], &index.users_.back());
     } else {
-      tweet.gps.reset();
+      index.users_.push_back(std::move(slots[row]));
     }
-    tweet.text.assign(view.tweet_text(row));
-    builder.AddTweet(tweet);
   }
-  return builder.Snapshot();
+  return index;
 }
 
 const UserEvidence* InferenceIndex::FindUser(twitter::UserId user) const {

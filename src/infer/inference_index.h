@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "geo/admin_db.h"
 #include "text/gazetteer_matcher.h"
 #include "text/normalize.h"
@@ -73,13 +75,8 @@ class EvidenceBuilder {
   /// Registers a user (evidence-blind: only the id is read). Idempotent.
   void AddUser(twitter::UserId user);
 
-  /// Folds one tweet: GPS points are reverse-geocoded through
-  /// AdminDb::Locate (deterministic, fault-free — unlike the study's
-  /// quota/fault-injected geocoder, so inference evidence never depends
-  /// on a fault schedule), the night window is derived from the
-  /// timestamp, and the body is tokenized and gazetteer-matched for
-  /// unambiguous district mentions. Tweets of unregistered users
-  /// register them implicitly.
+  /// Folds one tweet (see Fold). Tweets of unregistered users register
+  /// them implicitly.
   void AddTweet(const twitter::Tweet& tweet);
 
   /// Immutable value-determined snapshot: users ascending by id, regions
@@ -91,6 +88,26 @@ class EvidenceBuilder {
 
  private:
   friend class InferenceIndex;
+
+  /// Per-tweet scratch, reused so a fold allocates nothing once warm.
+  struct Scratch {
+    text::JoinedTokens tokens;
+    std::vector<text::PhraseMatch> matches;
+  };
+
+  /// The one tweet fold, shared by AddTweet and the sharded batch build:
+  /// a GPS fix (`gps`, null without one) is reverse-geocoded through
+  /// AdminDb::Locate (deterministic, fault-free — unlike the study's
+  /// quota/fault-injected geocoder, so inference evidence never depends
+  /// on a fault schedule), the night window is derived from `time`, and
+  /// `text` is tokenized and gazetteer-matched for unambiguous district
+  /// mentions.
+  static void Fold(const geo::AdminDb& db,
+                   const text::GazetteerMatcher& matcher,
+                   const geo::LatLng* gps, SimTime time, std::string_view text,
+                   Scratch* scratch, UserEvidence* user);
+  /// Adds `from`'s evidence into `into` (the same user's slot).
+  static void Merge(const UserEvidence& from, UserEvidence* into);
 
   /// Batch builds know their user count up front.
   void Reserve(size_t users);
@@ -110,9 +127,7 @@ class EvidenceBuilder {
   /// (user id, slot) ascending, for the slots that existed at the last
   /// snapshot; later slots are sorted and merged in by the next one.
   mutable std::vector<std::pair<twitter::UserId, uint32_t>> id_order_;
-  /// Per-tweet scratch, reused so a fold allocates nothing once warm.
-  text::JoinedTokens tokens_;
-  std::vector<text::PhraseMatch> matches_;
+  Scratch scratch_;
 };
 
 /// Immutable per-user evidence index, the inference twin of
@@ -124,9 +139,18 @@ class InferenceIndex {
   /// Batch build over a row-oriented dataset.
   static InferenceIndex Build(const twitter::Dataset& dataset,
                               const geo::AdminDb& db);
-  /// Batch build over a zero-copy v3 corpus view (no materialization).
+  /// Batch build over a zero-copy v3 corpus view (no materialization),
+  /// sharded on a pool of std::thread::hardware_concurrency() workers.
   static InferenceIndex Build(const io::CorpusView& view,
                               const geo::AdminDb& db);
+  /// The same build on `pool` (null or inline: one shard). User rows are
+  /// split into contiguous shards, each folding its users' tweets (CSR
+  /// order) into their own slots; the slots are then moved into id
+  /// order, a repeated user id folding into one. Byte-identical for any
+  /// shard count.
+  static InferenceIndex Build(const io::CorpusView& view,
+                              const geo::AdminDb& db,
+                              common::ThreadPool* pool);
 
   InferenceIndex() = default;
 

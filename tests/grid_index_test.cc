@@ -11,47 +11,7 @@ namespace {
 
 TEST(GridIndexTest, EmptyIndex) {
   GridIndex index;
-  EXPECT_EQ(index.Nearest({0, 0}), -1);
   EXPECT_TRUE(index.WithinRadius({0, 0}, 100.0).empty());
-}
-
-TEST(GridIndexTest, SinglePoint) {
-  GridIndex index;
-  index.Add({37.5, 127.0}, 42);
-  EXPECT_EQ(index.Nearest({37.5, 127.0}), 42);
-  EXPECT_EQ(index.Nearest({38.9, 128.4}), 42);
-  EXPECT_EQ(index.Nearest({37.5, 127.0}, /*max_distance_km=*/1.0), 42);
-  // Respect the distance bound.
-  EXPECT_EQ(index.Nearest({40.0, 127.0}, /*max_distance_km=*/10.0), -1);
-}
-
-TEST(GridIndexTest, NearestMatchesBruteForce) {
-  Rng rng(5);
-  GridIndex index(0.3);
-  std::vector<LatLng> points;
-  for (int64_t i = 0; i < 500; ++i) {
-    LatLng p{rng.Uniform(33.0, 39.0), rng.Uniform(124.0, 132.0)};
-    points.push_back(p);
-    index.Add(p, i);
-  }
-  for (int trial = 0; trial < 300; ++trial) {
-    LatLng q{rng.Uniform(33.0, 39.0), rng.Uniform(124.0, 132.0)};
-    int64_t got = index.Nearest(q);
-    ASSERT_GE(got, 0);
-    double best = 1e18;
-    int64_t want = -1;
-    for (int64_t i = 0; i < static_cast<int64_t>(points.size()); ++i) {
-      double d = ApproxDistanceKm(q, points[static_cast<size_t>(i)]);
-      if (d < best) {
-        best = d;
-        want = i;
-      }
-    }
-    // Either the same id, or a tie in distance.
-    double got_distance = ApproxDistanceKm(q, points[static_cast<size_t>(got)]);
-    EXPECT_NEAR(got_distance, best, 1e-9) << "trial " << trial << " want "
-                                          << want;
-  }
 }
 
 TEST(GridIndexTest, WithinRadiusMatchesBruteForce) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/study_config.h"
+#include "geo/geohash.h"
 #include "io/corpus.h"
 #include "twitter/dataset.h"
 
@@ -154,6 +155,33 @@ TEST_F(RefinementTest, TotalTweetsPreservedOnRefinedUsers) {
   auto refined = pipeline.Run(View(dataset), nullptr);
   ASSERT_EQ(refined.size(), 1u);
   EXPECT_EQ(refined[0].total_tweets, 1234);
+}
+
+TEST_F(RefinementTest, GeocodeGivesEachPointItsOwnDistrictInAnyOrder) {
+  // Two fixes 0.5 m apart in one geohash-7 cell ("wydm9xn"), on either
+  // side of the Jongno-gu / Jung-gu border.
+  const geo::LatLng jongno{37.568550, 126.988650};
+  const geo::LatLng jung{37.568548, 126.988655};
+  auto jongno_id = db_.FindCounty("Seoul", "Jongno-gu");
+  auto jung_id = db_.FindCounty("Seoul", "Jung-gu");
+  ASSERT_TRUE(jongno_id.ok());
+  ASSERT_TRUE(jung_id.ok());
+  ASSERT_EQ(geo::GeohashEncode(jongno, 7), geo::GeohashEncode(jung, 7));
+  for (bool jongno_first : {true, false}) {
+    SCOPED_TRACE(jongno_first ? "Jongno-gu first" : "Jung-gu first");
+    geo::ReverseGeocoder geocoder(&db_);
+    RefinementPipeline pipeline(&parser_, &geocoder, config_);
+    auto fold = [&](const geo::LatLng& gps, int64_t key) {
+      return pipeline.FoldTweet(gps, "t", key, geo::kInvalidRegion).region;
+    };
+    if (jongno_first) {
+      EXPECT_EQ(fold(jongno, 0), *jongno_id);
+      EXPECT_EQ(fold(jung, 1), *jung_id);
+    } else {
+      EXPECT_EQ(fold(jung, 0), *jung_id);
+      EXPECT_EQ(fold(jongno, 1), *jongno_id);
+    }
+  }
 }
 
 }  // namespace
