@@ -166,6 +166,28 @@ TEST(FailureInjectionTest, QuotaLimitedGeocoderDegradesGracefully) {
             full.funnel.well_defined_users);
 }
 
+TEST(FailureInjectionTest, QuotaBindsWithTheCacheOffOnBothPipelines) {
+  const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
+  twitter::DatasetGenerator generator(
+      &db, twitter::DatasetGenerator::KoreanConfig(0.05));
+  twitter::GeneratedData data = generator.Generate();
+
+  // Every lookup spends quota, so the default RegionId path and the XML
+  // pipeline run out at the same tweet.
+  StudyConfig config;
+  config.geocoder.enable_cache = false;
+  config.geocoder.quota = 200;
+  core::StudyResult located = core::CorrelationStudy(&db, config)
+                                  .Run(data.dataset);
+  config.refinement.faithful_xml_pipeline = true;
+  core::StudyResult faithful = core::CorrelationStudy(&db, config)
+                                   .Run(data.dataset);
+  EXPECT_GT(located.funnel.geocode_failures, 0);
+  EXPECT_EQ(located.funnel.geocode_failures,
+            faithful.funnel.geocode_failures);
+  EXPECT_EQ(located.final_users, faithful.final_users);
+}
+
 TEST(FailureInjectionTest, StudyOnGpsFreeCorpusYieldsEmptySample) {
   const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
   auto config = twitter::DatasetGenerator::KoreanConfig(0.02);
