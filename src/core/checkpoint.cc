@@ -178,7 +178,8 @@ uint64_t ConfigFingerprint(const StudyConfig& config) {
   h = HashCombine(
       h, static_cast<uint64_t>(config.refinement.degraded_text_fallback));
   h = HashCombine(h, static_cast<uint64_t>(config.geocoder.enable_cache));
-  h = HashCombine(h, static_cast<uint64_t>(config.geocoder.cache_precision));
+  // Once a settable knob; still hashed so existing checkpoints resume.
+  h = HashCombine(h, static_cast<uint64_t>(geo::kGeocodeCachePrecision));
   h = HashCombine(h, static_cast<uint64_t>(config.geocoder.quota));
   h = HashCombine(h, config.fault.seed);
   h = HashDouble(h, config.fault.error_rate);

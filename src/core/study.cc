@@ -108,28 +108,8 @@ CorrelationStudy::CorrelationStudy(const geo::AdminDb* db,
 
 StudyResult CorrelationStudy::Run(const io::CorpusView& corpus) const {
   StudyResult result;
-
-  // Resolve the effective observability sinks: a caller-owned instance
-  // wins; an enable flag with no instance gets a per-run one; otherwise
-  // the pointers stay null and every component takes its
-  // pre-observability path (the byte-identical guarantee).
   StudyConfig cfg = config_;
-  std::unique_ptr<obs::MetricsRegistry> run_metrics;
-  if (cfg.obs.metrics == nullptr && cfg.obs.enable_metrics) {
-    run_metrics = std::make_unique<obs::MetricsRegistry>();
-    cfg.obs.metrics = run_metrics.get();
-  }
-  std::unique_ptr<obs::SteadyClock> steady_clock;
-  std::unique_ptr<obs::Tracer> run_tracer;
-  if (cfg.obs.tracer == nullptr && cfg.obs.enable_trace) {
-    obs::Tracer::Options tracer_options;
-    if (cfg.obs.real_time_trace) {
-      steady_clock = std::make_unique<obs::SteadyClock>();
-      tracer_options.clock = steady_clock.get();
-    }
-    run_tracer = std::make_unique<obs::Tracer>(tracer_options);
-    cfg.obs.tracer = run_tracer.get();
-  }
+  obs::RunSinks sinks(&cfg.obs);
 
   // The stages close the "study" root span on return, so the snapshots
   // below see every span complete.
@@ -142,6 +122,24 @@ StudyResult CorrelationStudy::Run(const io::CorpusView& corpus) const {
     result.trace = cfg.obs.tracer->Snapshot();
   }
   return result;
+}
+
+geo::ReverseGeocoderOptions GeocoderOptionsFor(
+    const StudyConfig& config, common::FaultInjector* injector) {
+  geo::ReverseGeocoderOptions options = config.geocoder;
+  // Crash scheduling alone (crash_after with every fault knob off) also
+  // wires the injector in: the crash hook lives in the geocoder, but
+  // enabled() stays false so reporting is untouched.
+  if (options.fault_injector == nullptr &&
+      (injector->enabled() || injector->crash_enabled())) {
+    options.fault_injector = injector;
+    options.retry = config.retry;
+  }
+  if (options.metrics == nullptr) options.metrics = config.obs.metrics;
+  if (options.tracer == nullptr && config.obs.trace_geocode_calls) {
+    options.tracer = config.obs.tracer;
+  }
+  return options;
 }
 
 StudyResult CorrelationStudy::Run(const twitter::Dataset& dataset) const {
@@ -158,25 +156,11 @@ void CorrelationStudy::RunStages(const io::CorpusView& corpus,
                                  StudyResult* result) const {
   obs::Tracer::ScopedSpan study_span(cfg.obs.tracer, "study");
 
-  geo::ReverseGeocoderOptions geocoder_options = cfg.geocoder;
   // Each run owns a fresh injector so fault schedules restart at call
-  // index zero; a caller-supplied injector (cfg.geocoder.fault_injector)
-  // takes precedence. Crash scheduling alone (crash_after with every
-  // fault knob off) also wires the injector in: the crash hook lives in
-  // the geocoder, but enabled() stays false so reporting is untouched.
+  // index zero.
   common::FaultInjector injector(cfg.fault);
-  if (geocoder_options.fault_injector == nullptr &&
-      (injector.enabled() || injector.crash_enabled())) {
-    geocoder_options.fault_injector = &injector;
-    geocoder_options.retry = cfg.retry;
-  }
-  if (geocoder_options.metrics == nullptr) {
-    geocoder_options.metrics = cfg.obs.metrics;
-  }
-  if (geocoder_options.tracer == nullptr) {
-    geocoder_options.tracer = cfg.obs.tracer;
-    geocoder_options.trace_lookups = cfg.obs.trace_geocode_calls;
-  }
+  geo::ReverseGeocoderOptions geocoder_options =
+      GeocoderOptionsFor(cfg, &injector);
 
   // --- Durability (DESIGN.md §9). Every failure on this path degrades
   // to running without the affected piece; corruption never aborts. ---
@@ -195,35 +179,14 @@ void CorrelationStudy::RunStages(const io::CorpusView& corpus,
       checkpointer = std::make_unique<StudyCheckpointer>(
           durability, CorpusFingerprint(corpus), ConfigFingerprint(cfg));
       checkpointer->set_fault_injector(&injector);
-      std::string journal_path =
-          durability.checkpoint_dir + "/geocode.journal";
-      journal = std::make_unique<geo::GeocodeJournal>();
-      Status journal_status;
+      journal_replay = io::OpenJournal(
+          durability.checkpoint_dir + "/geocode.journal", durability.resume,
+          durability.fsync, "geocode", "lookups", &journal);
       if (durability.resume) {
-        journal_replay = geo::GeocodeJournal::Replay(journal_path);
-        if (!journal_replay.usable) {
-          STIR_LOG(Warning)
-              << "geocode journal unusable, starting a fresh one: "
-              << journal_replay.error;
-          journal_replay = geo::GeocodeJournalReplay{};
-          journal_status = journal->OpenFresh(journal_path, durability.fsync);
-        } else {
-          journal_status = journal->OpenForResume(
-              journal_path, journal_replay.stats.valid_bytes,
-              durability.fsync);
-        }
         resumed = checkpointer->TryRestore();
         if (resumed) {
           injector.RestoreNextIndex(checkpointer->restored_fault_next_index());
         }
-      } else {
-        journal_status = journal->OpenFresh(journal_path, durability.fsync);
-      }
-      if (!journal_status.ok()) {
-        STIR_LOG(Warning) << "geocode journal unavailable (lookups will not "
-                             "be journaled): "
-                          << journal_status.message();
-        journal.reset();
       }
       geocoder_options.journal = journal.get();
     }

@@ -70,6 +70,15 @@ struct StudyResult {
 /// the streaming determinism contract (DESIGN.md §12).
 void AggregateGroups(StudyResult* result);
 
+/// The geocoder options a run of `config` uses, for the batch study and
+/// the stream engine alike: `config.geocoder`, plus `injector` and
+/// `config.retry` when a fault or crash knob is armed,
+/// `config.obs.metrics`, and `config.obs.tracer` for one span per lookup
+/// when `config.obs.trace_geocode_calls` is set. Pointers already set in
+/// `config.geocoder` win.
+geo::ReverseGeocoderOptions GeocoderOptionsFor(
+    const StudyConfig& config, common::FaultInjector* injector);
+
 /// The paper's end-to-end analysis: refinement funnel -> text-based
 /// grouping -> Top-k classification -> group aggregates. Deterministic
 /// for a given dataset and gazetteer, and for any `config.threads`

@@ -100,8 +100,7 @@ void ReverseGeocoder::PreloadCache(std::string_view cache_key,
 template <typename Direct>
 auto ReverseGeocoder::Lookup(int64_t fault_index, Direct direct)
     -> decltype(direct()) {
-  obs::Tracer::ScopedSpan span(
-      options_.trace_lookups ? options_.tracer : nullptr, "geocode");
+  obs::Tracer::ScopedSpan span(options_.tracer, "geocode");
   common::FaultInjector* fault = options_.fault_injector;
   // The crash hook fires before any fault/cache logic so "Nth lookup"
   // means the same thing whether or not fault knobs are active.
@@ -181,7 +180,7 @@ StatusOr<GeocodeResult> ReverseGeocoder::ReverseDirect(const LatLng& point) {
 
   std::string cache_key;
   if (options_.enable_cache) {
-    cache_key = GeohashEncode(point, options_.cache_precision);
+    cache_key = GeohashEncode(point, kGeocodeCachePrecision);
     CacheShard& shard = ShardFor(cache_key);
     std::unique_lock<std::mutex> lock = LockShard(shard);
     auto it = shard.map.find(cache_key);

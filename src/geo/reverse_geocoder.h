@@ -31,14 +31,16 @@ struct GeocodeResult {
   RegionId region = kInvalidRegion;
 };
 
+/// Geohash precision of the memo's cache keys: 7 chars is ~±76 m, far
+/// below district size.
+inline constexpr int kGeocodeCachePrecision = 7;
+
 /// Behavioural knobs for the geocoding service simulation.
 struct ReverseGeocoderOptions {
-  /// Memoize results by geohash cell (the paper's crawl hit the API once
-  /// per distinct coordinate; caching reproduces that cost profile).
+  /// Memoize results by geohash cell of kGeocodeCachePrecision chars
+  /// (the paper's crawl hit the API once per distinct coordinate;
+  /// caching reproduces that cost profile).
   bool enable_cache = true;
-  /// Geohash precision for cache keys; 7 chars is ~±76 m, far below
-  /// district size.
-  int cache_precision = 7;
   /// Maximum lookups before the service returns ResourceExhausted
   /// (simulating an API quota); <0 disables.
   int64_t quota = -1;
@@ -61,11 +63,9 @@ struct ReverseGeocoderOptions {
   /// `.cache_contention` (contended stripe acquisitions), `geocode.faulted`
   /// / `.retried` / `.breaker_rejections` / `.backoff_ms`, and the
   /// `geocode.attempts` histogram (attempts per lookup, retries included).
-  /// The tracer gets one "geocode" span per lookup while `trace_lookups`
-  /// is set (DESIGN.md §8).
+  /// The tracer gets one "geocode" span per lookup (DESIGN.md §8).
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
-  bool trace_lookups = true;
   /// Optional write-ahead geocode journal (not owned; must outlive the
   /// geocoder; null disables). Every cache-miss resolution is appended,
   /// so a resumed run can PreloadCache the journal and answer all

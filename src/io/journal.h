@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 
+#include "common/logging.h"
 #include "common/status.h"
 
 namespace stir::io {
@@ -102,6 +104,41 @@ class JournalWriter {
   bool fsync_each_append_ = true;
   int64_t appended_ = 0;
 };
+
+/// Opens or resumes a typed journal (geo::GeocodeJournal,
+/// stream::StreamJournal) at `path` into `*journal`, the one way a run
+/// does so. With `resume` the file is replayed and appended after its
+/// valid prefix; an unusable file is logged ("<name> journal unusable")
+/// and started fresh. Without `resume` it is started fresh. A journal
+/// that cannot be opened is logged and left null, so the run goes on
+/// without journaling its `records`. Returns the replay, empty unless a
+/// usable journal was resumed.
+template <typename Journal>
+auto OpenJournal(const std::string& path, bool resume, bool fsync,
+                 std::string_view name, std::string_view records,
+                 std::unique_ptr<Journal>* journal) {
+  decltype(Journal::Replay(path)) replay;
+  bool fresh = true;
+  if (resume) {
+    replay = Journal::Replay(path);
+    fresh = !replay.usable;
+    if (fresh) {
+      STIR_LOG(Warning) << name << " journal unusable, starting a fresh one: "
+                        << replay.error;
+      replay = {};
+    }
+  }
+  *journal = std::make_unique<Journal>();
+  Status status =
+      fresh ? (*journal)->OpenFresh(path, fsync)
+            : (*journal)->OpenForResume(path, replay.stats.valid_bytes, fsync);
+  if (!status.ok()) {
+    STIR_LOG(Warning) << name << " journal unavailable (" << records
+                      << " will not be journaled): " << status.message();
+    journal->reset();
+  }
+  return replay;
+}
 
 }  // namespace stir::io
 

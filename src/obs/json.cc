@@ -166,182 +166,9 @@ void JsonWriter::Raw(std::string_view token) {
 
 namespace {
 
-/// Recursive-descent JSON validator. Tracks position for error messages;
-/// depth-capped so malicious nesting cannot blow the stack.
-class JsonLinter {
- public:
-  explicit JsonLinter(std::string_view text) : text_(text) {}
-
-  bool Run(std::string* error) {
-    SkipWs();
-    bool ok = Value(0) && (SkipWs(), pos_ == text_.size());
-    if (!ok && error != nullptr) {
-      *error = error_.empty()
-                   ? "trailing bytes at offset " + std::to_string(pos_)
-                   : error_;
-    }
-    return ok;
-  }
-
- private:
-  static constexpr int kMaxDepth = 128;
-
-  bool Fail(const std::string& what) {
-    if (error_.empty()) {
-      error_ = what + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return Fail("bad literal");
-    pos_ += word.size();
-    return true;
-  }
-
-  bool StringValue() {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return Fail("expected '\"'");
-    ++pos_;
-    while (pos_ < text_.size()) {
-      unsigned char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c < 0x20) return Fail("unescaped control character");
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Fail("truncated escape");
-        char e = text_[pos_];
-        if (e == 'u') {
-          for (int i = 1; i <= 4; ++i) {
-            if (pos_ + i >= text_.size() || !isxdigit(static_cast<unsigned char>(text_[pos_ + i]))) {
-              return Fail("bad \\u escape");
-            }
-          }
-          pos_ += 4;
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                   e != 'n' && e != 'r' && e != 't') {
-          return Fail("bad escape");
-        }
-      }
-      ++pos_;
-    }
-    return Fail("unterminated string");
-  }
-
-  bool NumberValue() {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() || !isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return Fail("bad number");
-    }
-    if (text_[pos_] == '0') {
-      ++pos_;
-    } else {
-      while (pos_ < text_.size() && isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() || !isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Fail("bad fraction");
-      }
-      while (pos_ < text_.size() && isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      if (pos_ >= text_.size() || !isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Fail("bad exponent");
-      }
-      while (pos_ < text_.size() && isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool Value(int depth) {
-    if (depth > kMaxDepth) return Fail("nesting too deep");
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{': return ObjectValue(depth);
-      case '[': return ArrayValue(depth);
-      case '"': return StringValue();
-      case 't': return Literal("true");
-      case 'f': return Literal("false");
-      case 'n': return Literal("null");
-      default: return NumberValue();
-    }
-  }
-
-  bool ObjectValue(int depth) {
-    ++pos_;  // '{'
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      SkipWs();
-      if (!StringValue()) return false;
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return Fail("expected ':'");
-      ++pos_;
-      SkipWs();
-      if (!Value(depth + 1)) return false;
-      SkipWs();
-      if (pos_ >= text_.size()) return Fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  bool ArrayValue(int depth) {
-    ++pos_;  // '['
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      SkipWs();
-      if (!Value(depth + 1)) return false;
-      SkipWs();
-      if (pos_ >= text_.size()) return Fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  std::string error_;
-};
-
-/// Recursive-descent parser building a JsonValue tree. Same grammar and
-/// depth cap as JsonLinter, plus escape decoding and unique-key checks;
-/// kept separate so the allocation-free validator stays allocation-free.
+/// Recursive-descent parser building a JsonValue tree. Tracks position
+/// for error messages; depth-capped so malicious nesting cannot blow the
+/// stack.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -628,7 +455,8 @@ class JsonParser {
 }  // namespace
 
 bool JsonIsValid(std::string_view text, std::string* error) {
-  return JsonLinter(text).Run(error);
+  JsonValue scratch;
+  return JsonParse(text, &scratch, error);
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {

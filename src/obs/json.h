@@ -101,18 +101,20 @@ struct JsonValue {
 };
 
 /// Strict recursive-descent parse of a complete JSON document into a
-/// JsonValue tree. Enforces the same grammar as JsonIsValid (depth cap,
-/// no trailing bytes) plus unique object keys; \uXXXX escapes are decoded
-/// to UTF-8 (surrogate pairs included, lone surrogates rejected). On
+/// JsonValue tree: RFC 8259 grammar with a nesting-depth cap, no
+/// trailing bytes, and unique object keys; \uXXXX escapes are decoded to
+/// UTF-8 (surrogate pairs included, lone surrogates rejected). On
 /// failure returns false and, when `error` is non-null, a byte offset +
 /// reason.
 bool JsonParse(std::string_view text, JsonValue* out,
                std::string* error = nullptr);
 
-/// Minimal strict JSON validity check (full recursive-descent parse, no
-/// DOM). Used by the observability tests and available to harnesses that
-/// want to lint emitted documents without a JSON library dependency.
-/// On failure, `error` (when non-null) receives a byte offset + reason.
+/// Strict JSON validity check: JsonParse into a scratch value, so it
+/// accepts exactly what JsonParse accepts — stricter than RFC 8259 in
+/// that duplicate object keys and lone surrogate escapes fail. Used by
+/// the observability tests and available to harnesses that want to lint
+/// emitted documents without a JSON library dependency. On failure,
+/// `error` (when non-null) receives a byte offset + reason.
 bool JsonIsValid(std::string_view text, std::string* error = nullptr);
 
 }  // namespace stir::obs

@@ -1,6 +1,8 @@
 #ifndef STIR_OBS_OPTIONS_H_
 #define STIR_OBS_OPTIONS_H_
 
+#include <memory>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -32,6 +34,37 @@ struct ObsOptions {
 
   bool metrics_enabled() const { return enable_metrics || metrics != nullptr; }
   bool trace_enabled() const { return enable_trace || tracer != nullptr; }
+};
+
+/// The one place enable flags become sinks. Fills `options->metrics` and
+/// `options->tracer`: a caller-owned instance wins; an enable flag with
+/// no instance gets one owned here (the tracer on a SteadyClock under
+/// `real_time_trace`); otherwise the pointer stays null. The filled
+/// pointers are valid while this object lives.
+class RunSinks {
+ public:
+  explicit RunSinks(ObsOptions* options) {
+    if (options->metrics == nullptr && options->enable_metrics) {
+      metrics_ = std::make_unique<MetricsRegistry>();
+      options->metrics = metrics_.get();
+    }
+    if (options->tracer == nullptr && options->enable_trace) {
+      Tracer::Options tracer_options;
+      if (options->real_time_trace) {
+        clock_ = std::make_unique<SteadyClock>();
+        tracer_options.clock = clock_.get();
+      }
+      tracer_ = std::make_unique<Tracer>(tracer_options);
+      options->tracer = tracer_.get();
+    }
+  }
+  RunSinks(const RunSinks&) = delete;
+  RunSinks& operator=(const RunSinks&) = delete;
+
+ private:
+  std::unique_ptr<MetricsRegistry> metrics_;
+  std::unique_ptr<SteadyClock> clock_;  ///< Outlives tracer_.
+  std::unique_ptr<Tracer> tracer_;
 };
 
 }  // namespace stir::obs

@@ -7,7 +7,6 @@
 #include "common/fault.h"
 #include "infer/home_inferrer.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace stir::infer {
 class InferenceIndex;
@@ -83,11 +82,6 @@ struct ServeOptions {
   /// `serve.batch_size` and `serve.latency_us` (admission to response,
   /// wall time).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Tracer (not owned): one `serve.batch` span per executed batch with a
-  /// `requests` attribute, plus per-request `serve.request` child spans
-  /// when `trace_requests` is set.
-  obs::Tracer* tracer = nullptr;
-  bool trace_requests = false;
 
   /// Fault hook on the request handlers (not owned). Decisions are keyed
   /// on the request's admission sequence number, so a fixed single-client

@@ -455,20 +455,8 @@ void RequestScheduler::ProcessBatch(std::vector<Pending> batch) {
   std::shared_ptr<const StudyIndex> pinned = PinIndex(&generation);
   std::shared_ptr<const infer::InferenceIndex> pinned_infer = PinInferIndex();
   const bool streaming = options_.stream != nullptr;
-  int64_t batch_span = obs::Tracer::kNoSpan;
-  if (options_.tracer != nullptr) {
-    batch_span = options_.tracer->BeginSpan("serve.batch");
-    options_.tracer->AddAttribute(batch_span, "requests",
-                                  static_cast<int64_t>(batch.size()));
-  }
   int64_t deadlines_missed = 0;
   for (Pending& pending : batch) {
-    int64_t request_span = obs::Tracer::kNoSpan;
-    if (options_.tracer != nullptr && options_.trace_requests) {
-      request_span =
-          options_.tracer->BeginSpanUnder("serve.request", batch_span);
-      options_.tracer->AddAttribute(request_span, "id", pending.request.id);
-    }
     std::string response;
     ResponseMeta meta;
     meta.tier = ShedTier(pending.request.method);
@@ -512,17 +500,11 @@ void RequestScheduler::ProcessBatch(std::vector<Pending> batch) {
       response = ExecuteOnIndex(*pinned, pending.request, generation,
                                 streaming);
     }
-    if (options_.tracer != nullptr && options_.trace_requests) {
-      options_.tracer->EndSpan(request_span);
-    }
     if (m_latency_us_ != nullptr) {
       m_latency_us_->Record(ElapsedMicros(pending.enqueued));
     }
     obs::IncrementCounter(m_responses_);
     pending.done(std::move(response), meta);
-  }
-  if (options_.tracer != nullptr) {
-    options_.tracer->EndSpan(batch_span);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);

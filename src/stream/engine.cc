@@ -50,29 +50,17 @@ Status StreamEngine::Open() {
     return Status::InvalidArgument("StreamEngine::Open called twice");
   }
 
-  // Geocoder wiring mirrors the batch pipeline (CorrelationStudy::
-  // RunStages): the engine-owned injector engages only when a fault or
-  // crash knob is armed, so a fault-free stream is byte-identical to a
-  // build without the fault layer.
-  geo::ReverseGeocoderOptions geocoder_options = config_.geocoder;
-  if (geocoder_options.fault_injector == nullptr &&
-      (injector_.enabled() || injector_.crash_enabled())) {
-    geocoder_options.fault_injector = &injector_;
-    geocoder_options.retry = config_.retry;
-  }
-  if (geocoder_options.metrics == nullptr) {
-    geocoder_options.metrics = config_.obs.metrics;
-  }
-  if (geocoder_options.tracer == nullptr) {
-    geocoder_options.tracer = config_.obs.tracer;
-    geocoder_options.trace_lookups = config_.obs.trace_geocode_calls;
-  }
+  // The engine-owned injector engages only when a fault or crash knob is
+  // armed, so a fault-free stream is byte-identical to a build without
+  // the fault layer.
+  geo::ReverseGeocoderOptions geocoder_options =
+      core::GeocoderOptionsFor(config_, &injector_);
 
+  const io::DurabilityOptions& durability = config_.durability;
   geo::GeocodeJournalReplay geo_replay;
   StreamJournalReplay stream_replay;
-  bool have_stream_replay = false;
-  if (!options_.durable_dir.empty()) {
-    Status dir_status = io::EnsureDirectory(options_.durable_dir);
+  if (!durability.checkpoint_dir.empty()) {
+    Status dir_status = io::EnsureDirectory(durability.checkpoint_dir);
     if (!dir_status.ok()) {
       STIR_LOG(Warning) << "stream durable directory unavailable, running "
                            "in memory only: "
@@ -82,59 +70,15 @@ Status StreamEngine::Open() {
       // hits, so resumed re-folds spend no additional quota. Fault
       // decisions fire before the cache, so the fault/retry charges of a
       // re-fold are unchanged by the warm cache.
-      std::string geo_path = options_.durable_dir + "/geocode.journal";
-      geocode_journal_ = std::make_unique<geo::GeocodeJournal>();
-      Status geo_status;
-      if (options_.resume) {
-        geo_replay = geo::GeocodeJournal::Replay(geo_path);
-        if (!geo_replay.usable) {
-          STIR_LOG(Warning)
-              << "geocode journal unusable, starting a fresh one: "
-              << geo_replay.error;
-          geo_replay = geo::GeocodeJournalReplay{};
-          geo_status = geocode_journal_->OpenFresh(geo_path, options_.fsync);
-        } else {
-          geo_status = geocode_journal_->OpenForResume(
-              geo_path, geo_replay.stats.valid_bytes, options_.fsync);
-        }
-      } else {
-        geo_status = geocode_journal_->OpenFresh(geo_path, options_.fsync);
-      }
-      if (!geo_status.ok()) {
-        STIR_LOG(Warning) << "geocode journal unavailable (lookups will "
-                             "not be journaled): "
-                          << geo_status.message();
-        geocode_journal_.reset();
-      }
+      geo_replay = io::OpenJournal(
+          durability.checkpoint_dir + "/geocode.journal", durability.resume,
+          durability.fsync, "geocode", "lookups", &geocode_journal_);
       geocoder_options.journal = geocode_journal_.get();
-
-      std::string stream_path = options_.durable_dir + "/stream.journal";
-      journal_ = std::make_unique<StreamJournal>();
-      Status stream_status;
-      if (options_.resume) {
-        stream_replay = StreamJournal::Replay(stream_path);
-        if (!stream_replay.usable) {
-          STIR_LOG(Warning)
-              << "stream journal unusable, starting a fresh one: "
-              << stream_replay.error;
-          stream_replay = StreamJournalReplay{};
-          stream_status = journal_->OpenFresh(stream_path, options_.fsync);
-        } else {
-          have_stream_replay = true;
-          stream_status = journal_->OpenForResume(
-              stream_path, stream_replay.stats.valid_bytes, options_.fsync);
-        }
-      } else {
-        stream_status = journal_->OpenFresh(stream_path, options_.fsync);
-      }
-      if (!stream_status.ok()) {
-        STIR_LOG(Warning) << "stream journal unavailable (ingest will not "
-                             "be journaled): "
-                          << stream_status.message();
-        journal_.reset();
-      }
+      stream_replay = io::OpenJournal(
+          durability.checkpoint_dir + "/stream.journal", durability.resume,
+          durability.fsync, "stream", "ingest", &journal_);
       if (obs::MetricsRegistry* m = config_.obs.metrics;
-          m != nullptr && options_.resume) {
+          m != nullptr && durability.resume) {
         m->GetCounter("stream.journal.replayed")
             ->Increment(stream_replay.stats.records);
         m->GetCounter("stream.journal.quarantined")
@@ -162,7 +106,7 @@ Status StreamEngine::Open() {
   // Generation 0: the empty index every streaming server starts from.
   PublishIndexLocked(serve::StudyIndex{});
   current_infer_index_ = evidence_->Build();
-  if (have_stream_replay && !stream_replay.records.empty()) {
+  if (!stream_replay.records.empty()) {
     ReplayStreamJournalLocked(stream_replay);
   }
   return Status::OK();

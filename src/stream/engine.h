@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -28,23 +27,16 @@
 
 namespace stir::stream {
 
-/// Knobs for the incremental stream engine (DESIGN.md §12).
+/// Knobs for the incremental stream engine (DESIGN.md §12). Durability
+/// comes from the study config (`config.durability`).
 struct StreamOptions {
   /// Auto-seal threshold: an epoch seals as soon as this many tweets have
   /// been ingested since the last seal (counting every tweet, GPS-tagged
   /// or not, so epoch boundaries depend only on the tweet log). 0
-  /// disables auto-sealing — epochs seal only via SealEpoch().
-  int64_t epoch_size = 0;
-  /// Directory for the stream + geocode journals. Empty runs the engine
-  /// purely in memory (no crash safety).
-  std::string durable_dir;
-  /// Replay the journals found in `durable_dir` and continue from there.
-  /// Without it the directory is started fresh. A resumed run must use
-  /// the same `epoch_size` as the crashed one for its epoch partition
+  /// disables auto-sealing — epochs seal only via SealEpoch(). A resumed
+  /// run must use the crashed run's `epoch_size` for its epoch partition
   /// (and therefore its generation numbers) to line up.
-  bool resume = false;
-  /// fsync journal appends (same contract as io::DurabilityOptions).
-  bool fsync = true;
+  int64_t epoch_size = 0;
 };
 
 /// The incremental streaming study engine (DESIGN.md §12): accepts
@@ -77,10 +69,12 @@ struct StreamOptions {
 class StreamEngine : public serve::StreamBackend {
  public:
   /// `db` must outlive the engine. `config` supplies the study pipeline
-  /// knobs (threads, tie_break, refinement, geocoder, fault, retry, and
-  /// the *effective* obs sinks — resolve enable flags to instances before
-  /// constructing, the way the CLIs do). `config.durability` is ignored;
-  /// stream durability lives in `options`.
+  /// knobs (threads, tie_break, refinement, geocoder, fault, retry, the
+  /// *effective* obs sinks — resolve enable flags with obs::RunSinks
+  /// before constructing — and durability). With
+  /// `config.durability.checkpoint_dir` set the engine journals into
+  /// that directory, and with `durability.resume` replays it; empty runs
+  /// purely in memory (no crash safety).
   StreamEngine(const geo::AdminDb* db, const StudyConfig& config,
                const StreamOptions& options);
   ~StreamEngine() override;

@@ -163,6 +163,12 @@ TEST(JsonLintTest, AcceptsAndRejects) {
   EXPECT_FALSE(JsonIsValid("01"));
   EXPECT_FALSE(JsonIsValid("\"unterminated"));
   EXPECT_FALSE(JsonIsValid("{} trailing"));
+  // JsonIsValid accepts exactly what JsonParse accepts: duplicate keys
+  // and lone surrogate escapes fail.
+  EXPECT_FALSE(JsonIsValid("{\"a\": 1, \"a\": 2}"));
+  EXPECT_FALSE(JsonIsValid("\"\\ud800\""));
+  EXPECT_FALSE(JsonIsValid("\"\\udc00\""));
+  EXPECT_TRUE(JsonIsValid("\"\\ud83d\\ude00\""));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/study.h"
 #include "geo/admin_db.h"
 #include "gtest/gtest.h"
+#include "io/atomic_file.h"
 #include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/study_index.h"
@@ -269,11 +270,12 @@ TEST_F(StreamEngineTest, ResumeContinuesMidEpochAtTheSameBoundaries) {
   std::string dir = ScratchDir("mid_epoch");
   StreamOptions options;
   options.epoch_size = 5;
-  options.durable_dir = dir;
+  StudyConfig config;
+  config.durability.checkpoint_dir = dir;
 
   // "Crash" after 7 tweets: one sealed epoch (5), two pending.
   {
-    StreamEngine engine(db_, StudyConfig{}, options);
+    StreamEngine engine(db_, config, options);
     ASSERT_TRUE(engine.Open().ok());
     AddAllUsers(&engine);
     AddTweetRange(&engine, 0, 7);
@@ -283,8 +285,8 @@ TEST_F(StreamEngineTest, ResumeContinuesMidEpochAtTheSameBoundaries) {
 
   // Resume replays the journal (1 marker + 2 pending tails) and the
   // remaining ingest auto-seals at the uninterrupted run's boundaries.
-  options.resume = true;
-  StreamEngine resumed(db_, StudyConfig{}, options);
+  config.durability.resume = true;
+  StreamEngine resumed(db_, config, options);
   ASSERT_TRUE(resumed.Open().ok());
   EXPECT_EQ(resumed.epochs_sealed(), 1);
   EXPECT_EQ(resumed.generation(), 1);
@@ -311,9 +313,10 @@ TEST_F(StreamEngineTest, ResumeSurvivesATornTail) {
   std::string dir = ScratchDir("torn_tail");
   StreamOptions options;
   options.epoch_size = 3;
-  options.durable_dir = dir;
+  StudyConfig config;
+  config.durability.checkpoint_dir = dir;
   {
-    StreamEngine engine(db_, StudyConfig{}, options);
+    StreamEngine engine(db_, config, options);
     ASSERT_TRUE(engine.Open().ok());
     AddAllUsers(&engine);
     AddTweetRange(&engine, 0, 8);
@@ -325,8 +328,8 @@ TEST_F(StreamEngineTest, ResumeSurvivesATornTail) {
                       std::ios::binary | std::ios::app);
     out << "torn-frame-garbage";
   }
-  options.resume = true;
-  StreamEngine resumed(db_, StudyConfig{}, options);
+  config.durability.resume = true;
+  StreamEngine resumed(db_, config, options);
   ASSERT_TRUE(resumed.Open().ok());
   EXPECT_EQ(resumed.ingested_tweets(), 8);
   EXPECT_EQ(resumed.epochs_sealed(), 2);
@@ -340,18 +343,50 @@ TEST_F(StreamEngineTest, FreshOpenTruncatesAnOldJournal) {
   std::string dir = ScratchDir("fresh");
   StreamOptions options;
   options.epoch_size = 3;
-  options.durable_dir = dir;
+  StudyConfig config;
+  config.durability.checkpoint_dir = dir;
   {
-    StreamEngine engine(db_, StudyConfig{}, options);
+    StreamEngine engine(db_, config, options);
     ASSERT_TRUE(engine.Open().ok());
     AddAllUsers(&engine);
     AddTweetRange(&engine, 0, 6);
   }
   // Without --resume the directory restarts from scratch.
-  StreamEngine fresh(db_, StudyConfig{}, options);
+  StreamEngine fresh(db_, config, options);
   ASSERT_TRUE(fresh.Open().ok());
   EXPECT_EQ(fresh.ingested_tweets(), 0);
   EXPECT_EQ(fresh.generation(), 0);
+}
+
+TEST_F(StreamEngineTest, JournalsIntoTheStudyConfigCheckpointDir) {
+  // The engine takes its durability from the study config alone, the way
+  // the CLIs hand it over.
+  std::string dir = ScratchDir("config_durability");
+  StudyConfig config;
+  config.durability.checkpoint_dir = dir;
+  StreamOptions options;
+  options.epoch_size = 4;
+  {
+    StreamEngine engine(db_, config, options);
+    ASSERT_TRUE(engine.Open().ok());
+    AddAllUsers(&engine);
+    AddTweetRange(&engine, 0, 10);
+  }
+  EXPECT_TRUE(io::PathExists(dir + "/stream.journal"));
+  EXPECT_TRUE(io::PathExists(dir + "/geocode.journal"));
+
+  config.durability.resume = true;
+  StreamEngine resumed(db_, config, options);
+  ASSERT_TRUE(resumed.Open().ok());
+  EXPECT_EQ(resumed.ingested_tweets(), 10);
+
+  StreamEngine reference(db_, StudyConfig{}, options);
+  ASSERT_TRUE(reference.Open().ok());
+  AddAllUsers(&reference);
+  AddTweetRange(&reference, 0, 10);
+  EXPECT_EQ(resumed.epochs_sealed(), reference.epochs_sealed());
+  EXPECT_EQ(resumed.generation(), reference.generation());
+  ExpectSameAnswers(*resumed.CurrentIndex(), *reference.CurrentIndex());
 }
 
 }  // namespace

@@ -143,6 +143,30 @@ if(NOT obs_err MATCHES "metrics written to" OR NOT obs_err MATCHES "trace writte
   message(FATAL_ERROR "obs export notices missing from stderr: ${obs_err}")
 endif()
 
+# --trace-real-time must reach the stream path too: its trace carries
+# real timestamps, so it differs from the virtual-clock trace.
+foreach(clock virtual real)
+  set(clock_flag "")
+  if(clock STREQUAL "real")
+    set(clock_flag --trace-real-time)
+  endif()
+  execute_process(
+    COMMAND ${CLI} study --users ${WORK_DIR}/smoke_users.tsv
+            --tweets ${WORK_DIR}/smoke_tweets.tsv --stream
+            --trace-out ${WORK_DIR}/smoke_stream_trace_${clock}.json
+            ${clock_flag}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "--stream ${clock}-clock trace failed (${rc}): ${err}")
+  endif()
+endforeach()
+file(READ ${WORK_DIR}/smoke_stream_trace_virtual.json stream_trace_virtual)
+file(READ ${WORK_DIR}/smoke_stream_trace_real.json stream_trace_real)
+if(stream_trace_virtual STREQUAL stream_trace_real)
+  message(FATAL_ERROR "--stream --trace-real-time wrote the virtual-clock "
+          "trace: ${stream_trace_real}")
+endif()
+
 file(READ ${WORK_DIR}/smoke_metrics.json metrics_json)
 # string(JSON) (CMake >= 3.19) both lints the documents and checks the
 # drop-counter invariants the metrics contract promises; older CMake
@@ -247,8 +271,21 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "study --help exited ${rc}: ${err}")
 endif()
 foreach(flag metrics-out trace-out report-schema threads fault-rate
-        stream epoch-size)
+        stream epoch-size checkpoint-dir resume crash-after lenient-load
+        gazetteer io-fault-seed io-fault-write-error-rate
+        io-fault-short-write-rate io-fault-fsync-error-rate
+        io-fault-eintr-rate io-fault-enospc-after io-fault-page-flip-rate)
   if(NOT err MATCHES "--${flag}")
     message(FATAL_ERROR "study --help missing --${flag}: ${err}")
   endif()
 endforeach()
+
+execute_process(
+  COMMAND ${CLI} audit --help
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "audit --help exited ${rc}: ${err}")
+endif()
+if(NOT err MATCHES "--gazetteer")
+  message(FATAL_ERROR "audit --help missing --gazetteer: ${err}")
+endif()

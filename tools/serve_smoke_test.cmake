@@ -444,7 +444,10 @@ endif()
 foreach(flag stdio port workers max-batch queue-capacity serve-fault-rate
         stream epoch-size max-pipeline max-connections tier1-fill tier2-fill
         drain-after infer-fill infer-strategy infer-abstain
-        infer-night-weight)
+        infer-night-weight checkpoint-dir resume crash-after lenient-load
+        gazetteer io-fault-seed io-fault-write-error-rate
+        io-fault-short-write-rate io-fault-fsync-error-rate
+        io-fault-eintr-rate io-fault-enospc-after io-fault-page-flip-rate)
   if(NOT err MATCHES "--${flag}")
     message(FATAL_ERROR "--help missing --${flag}: ${err}")
   endif()
@@ -456,7 +459,8 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "stir_cli infer --help exited ${rc}: ${err}")
 endif()
-foreach(flag corpus truth strategy abstain night-weight min-gps metrics-out)
+foreach(flag corpus truth strategy abstain night-weight min-gps metrics-out
+        lenient-load gazetteer)
   if(NOT err MATCHES "--${flag}")
     message(FATAL_ERROR "infer --help missing --${flag}: ${err}")
   endif()
