@@ -118,7 +118,7 @@ std::vector<std::string> BuildInferScript(const infer::InferenceIndex& index,
   const auto& users = index.users();
   const int64_t id_base = static_cast<int64_t>(client) * 1'000'000;
   for (int i = 0; i < count; ++i) {
-    const auto& evidence = users[static_cast<size_t>(
+    const infer::UserEvidenceView evidence = users[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(users.size()) - 1))];
     const int64_t id = id_base + i;
     const int64_t roll = rng.UniformInt(0, 99);

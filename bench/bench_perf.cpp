@@ -14,14 +14,17 @@
 // resident). S = 20 reproduces the million-user acceptance run.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
 
 #include "bench_util.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "core/study.h"
 #include "geo/reverse_geocoder.h"
+#include "infer/inference_index.h"
 #include "io/corpus.h"
 #include "text/location_parser.h"
 #include "twitter/generator.h"
@@ -237,6 +240,58 @@ void BM_FullStudyArena(benchmark::State& state) {
   std::filesystem::remove(path, ec);
 }
 BENCHMARK(BM_FullStudyArena)->Arg(20)->Arg(100)->Unit(benchmark::kMillisecond);
+
+/// A scale-1 arena corpus (52,200 users), generated into a temp file on
+/// first use and kept mapped for the rest of the run. The file is
+/// unlinked once mapped, so nothing is left behind.
+const io::CorpusView& ScaleOneCorpus() {
+  static const io::CorpusView& view = *[] {
+    const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("stir_bench_perf_scale1_" + std::to_string(::getpid()) + ".corpus");
+    twitter::DatasetGenerator generator(
+        &db, twitter::DatasetGenerator::KoreanConfig(1.0));
+    io::CorpusWriter writer(path.string());
+    STIR_CHECK(generator.GenerateToCorpus(&writer).ok());
+    STIR_CHECK(writer.Finish().ok());
+    auto opened = io::CorpusView::Open(path.string());
+    STIR_CHECK(opened.ok()) << opened.status().ToString();
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    return new io::CorpusView(std::move(*opened));
+  }();
+  return view;
+}
+
+/// The inference evidence build off the scale-1 corpus: inline (Arg 0)
+/// and on a pool of Arg workers. Wall time; each iteration also frees
+/// the previous index, as a stream seal does.
+void BM_InferenceBuildView(benchmark::State& state) {
+  const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
+  const io::CorpusView& view = ScaleOneCorpus();
+  common::ThreadPool pool(static_cast<int>(state.range(0)));
+  infer::InferenceIndex index;
+  for (auto _ : state) {
+    index = infer::InferenceIndex::Build(view, db, &pool);
+    benchmark::DoNotOptimize(index);
+  }
+  size_t regions = 0;
+  for (const infer::UserEvidenceView& user : index.users()) {
+    regions += user.regions.size();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(view.user_count()));
+  state.counters["threads"] = static_cast<double>(state.range(0));
+  state.counters["users"] = static_cast<double>(index.user_count());
+  state.counters["regions"] = static_cast<double>(regions);
+  state.counters["index_bytes"] = static_cast<double>(index.MemoryBytes());
+}
+BENCHMARK(BM_InferenceBuildView)
+    ->Arg(0)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 const twitter::Dataset& ScanCorpus() {
   static const twitter::GeneratedData& data = *new twitter::GeneratedData(

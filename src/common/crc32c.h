@@ -8,8 +8,10 @@ namespace stir {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected) over bytes.
 /// The integrity check used by every durable artifact in the tree: the
-/// io journal record frames, atomic snapshot files, and the column
-/// store's v2 container (DESIGN.md §9). Stable across platforms.
+/// io journal record frames, atomic snapshot files, and the STIRARN3
+/// corpus (DESIGN.md §9, §14). Stable across platforms: x86-64
+/// hosts with SSE4.2 run the `crc32` instruction, others slicing-by-8
+/// tables, and both give the same value.
 uint32_t Crc32c(std::string_view data);
 
 /// Incremental form: feeds `data` into a running checksum. Start from

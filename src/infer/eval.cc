@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -46,8 +47,9 @@ StrategyEval EvaluateStrategy(const InferenceIndex& index,
   std::map<std::pair<std::string, std::string>, int64_t> confusion;
 
   for (const io::TruthRecord& record : truth) {
-    const UserEvidence* evidence = index.FindUser(record.user);
-    if (evidence == nullptr) continue;  // tweets all unsampled; unscoreable
+    const std::optional<UserEvidenceView> evidence =
+        index.FindUser(record.user);
+    if (!evidence) continue;  // tweets all unsampled; unscoreable
     ++eval.users;
     const bool gps_rich = evidence->gps_tweets >= min_gps;
     if (gps_rich) ++eval.gps_rich_users;

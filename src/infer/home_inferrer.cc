@@ -40,7 +40,7 @@ namespace {
 /// the verdict is value-determined — identical across worker counts,
 /// corpus formats, and ingest orders.
 template <typename WeightFn>
-Inference InferByWeight(const UserEvidence& evidence,
+Inference InferByWeight(const UserEvidenceView& evidence,
                         const InferParams& params, WeightFn&& weight_of) {
   Inference result;
   int64_t total = 0;
@@ -72,7 +72,8 @@ Inference InferByWeight(const UserEvidence& evidence,
 /// Night-window GPS tweets in the winning district (reported alongside
 /// GPS verdicts so callers can see how much of the evidence was the
 /// at-home signal).
-int64_t NightEvidence(const UserEvidence& evidence, const Inference& result) {
+int64_t NightEvidence(const UserEvidenceView& evidence,
+                      const Inference& result) {
   if (result.district == geo::kInvalidRegion) return 0;
   for (const RegionEvidence& region : evidence.regions) {
     if (region.region == result.district) return region.night_gps_tweets;
@@ -85,7 +86,7 @@ class SpatialInferrer final : public HomeInferrer {
   explicit SpatialInferrer(const InferParams& params) : params_(params) {}
   Strategy strategy() const override { return Strategy::kSpatial; }
 
-  Inference Infer(const UserEvidence& evidence) const override {
+  Inference Infer(const UserEvidenceView& evidence) const override {
     Inference result =
         InferByWeight(evidence, params_, [](const RegionEvidence& region) {
           return region.gps_tweets;
@@ -103,7 +104,7 @@ class DiurnalInferrer final : public HomeInferrer {
   explicit DiurnalInferrer(const InferParams& params) : params_(params) {}
   Strategy strategy() const override { return Strategy::kDiurnal; }
 
-  Inference Infer(const UserEvidence& evidence) const override {
+  Inference Infer(const UserEvidenceView& evidence) const override {
     // Each night tweet counts night_weight times: weight =
     // gps + (night_weight - 1) * night. With weight 1 this is exactly
     // the spatial strategy.
@@ -125,7 +126,7 @@ class TextInferrer final : public HomeInferrer {
   explicit TextInferrer(const InferParams& params) : params_(params) {}
   Strategy strategy() const override { return Strategy::kText; }
 
-  Inference Infer(const UserEvidence& evidence) const override {
+  Inference Infer(const UserEvidenceView& evidence) const override {
     return InferByWeight(evidence, params_,
                          [](const RegionEvidence& region) {
                            return region.text_votes;

@@ -74,8 +74,8 @@ struct Inference {
 /// One home-location inference strategy over per-user evidence. Pure and
 /// stateless: Infer depends only on (evidence, params), so predictions
 /// are deterministic on any thread and byte-identical across worker
-/// counts. Implementations see UserEvidence only — profile strings and
-/// ground truth are not reachable from this interface.
+/// counts. Implementations see UserEvidenceView only — profile strings
+/// and ground truth are not reachable from this interface.
 class HomeInferrer {
  public:
   virtual ~HomeInferrer() = default;
@@ -83,7 +83,7 @@ class HomeInferrer {
   virtual Strategy strategy() const = 0;
   const char* name() const { return StrategyToString(strategy()); }
 
-  virtual Inference Infer(const UserEvidence& evidence) const = 0;
+  virtual Inference Infer(const UserEvidenceView& evidence) const = 0;
 };
 
 /// Builds the inferrer for `strategy` with `params`.

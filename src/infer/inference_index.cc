@@ -1,6 +1,7 @@
 #include "infer/inference_index.h"
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 
 #include "common/clock.h"
@@ -8,6 +9,65 @@
 #include "io/corpus.h"
 
 namespace stir::infer {
+
+namespace {
+
+/// Region offsets and user rows are stored as uint32.
+constexpr size_t kMaxOffset = std::numeric_limits<uint32_t>::max();
+
+/// A user row and its id.
+struct IdRow {
+  twitter::UserId id;
+  uint32_t row;
+};
+
+/// Sorts `items` by id on `pool`, stably (one id's entries keep their
+/// order): an LSD radix over id − `min`, 11 bits a pass, as many passes
+/// as `max` − `min` needs. Each pass counts digits per shard, then each
+/// shard scatters its entries to the positions its counts reserve.
+void RadixSortById(common::ThreadPool* pool, twitter::UserId min,
+                   twitter::UserId max, Column<IdRow>* items) {
+  constexpr int kBits = 11;
+  constexpr size_t kBuckets = size_t{1} << kBits;
+  const uint64_t span =
+      static_cast<uint64_t>(max) - static_cast<uint64_t>(min);
+  const size_t shards = common::NumShards(pool, items->size());
+  std::vector<size_t> next(shards * kBuckets);
+  Column<IdRow> sorted(items->size());
+  for (int shift = 0; shift < 64 && (span >> shift) != 0; shift += kBits) {
+    const auto digit = [&](const IdRow& item) {
+      const uint64_t offset =
+          static_cast<uint64_t>(item.id) - static_cast<uint64_t>(min);
+      return static_cast<size_t>((offset >> shift) & (kBuckets - 1));
+    };
+    std::fill(next.begin(), next.end(), 0);
+    common::ParallelForShards(
+        pool, items->size(), [&](size_t shard, size_t begin, size_t end) {
+          size_t* count = &next[shard * kBuckets];
+          for (size_t i = begin; i < end; ++i) ++count[digit((*items)[i])];
+        });
+    // Digit-major, shard-minor: where each shard's run of each digit goes.
+    size_t at = 0;
+    for (size_t d = 0; d < kBuckets; ++d) {
+      for (size_t shard = 0; shard < shards; ++shard) {
+        const size_t count = next[shard * kBuckets + d];
+        next[shard * kBuckets + d] = at;
+        at += count;
+      }
+    }
+    common::ParallelForShards(
+        pool, items->size(), [&](size_t shard, size_t begin, size_t end) {
+          size_t* to = &next[shard * kBuckets];
+          for (size_t i = begin; i < end; ++i) {
+            const IdRow& item = (*items)[i];
+            sorted[to[digit(item)]++] = item;
+          }
+        });
+    items->swap(sorted);
+  }
+}
+
+}  // namespace
 
 EvidenceBuilder::EvidenceBuilder(const geo::AdminDb* db)
     : db_(db), matcher_(db) {
@@ -22,6 +82,7 @@ void EvidenceBuilder::Reserve(size_t users) {
 }
 
 UserEvidence& EvidenceBuilder::Slot(twitter::UserId user) {
+  STIR_CHECK(slots_.size() < kMaxOffset) << "too many users for one index";
   auto [it, added] =
       slot_of_.try_emplace(user, static_cast<uint32_t>(slots_.size()));
   if (added) slots_.emplace_back().user = user;
@@ -40,8 +101,11 @@ RegionEvidence& EvidenceBuilder::RegionOf(UserEvidence& user,
 }
 
 void EvidenceBuilder::AddTweet(const twitter::Tweet& tweet) {
+  UserEvidence& user = Slot(tweet.user);
+  const size_t regions = user.regions.size();
   Fold(*db_, matcher_, tweet.gps.has_value() ? &*tweet.gps : nullptr,
-       tweet.time, tweet.text, &scratch_, &Slot(tweet.user));
+       tweet.time, tweet.text, &scratch_, &user);
+  region_count_ += user.regions.size() - regions;
 }
 
 void EvidenceBuilder::Fold(const geo::AdminDb& db,
@@ -80,18 +144,6 @@ void EvidenceBuilder::Fold(const geo::AdminDb& db,
   }
 }
 
-void EvidenceBuilder::Merge(const UserEvidence& from, UserEvidence* into) {
-  into->tweets += from.tweets;
-  into->gps_tweets += from.gps_tweets;
-  into->text_votes += from.text_votes;
-  for (const RegionEvidence& evidence : from.regions) {
-    RegionEvidence& region = RegionOf(*into, evidence.region);
-    region.gps_tweets += evidence.gps_tweets;
-    region.night_gps_tweets += evidence.night_gps_tweets;
-    region.text_votes += evidence.text_votes;
-  }
-}
-
 InferenceIndex EvidenceBuilder::Snapshot() const {
   const size_t sorted = id_order_.size();
   if (sorted < slots_.size()) {
@@ -102,17 +154,36 @@ InferenceIndex EvidenceBuilder::Snapshot() const {
     std::sort(added, id_order_.end());
     std::inplace_merge(id_order_.begin(), added, id_order_.end());
   }
+  STIR_CHECK(region_count_ <= kMaxOffset) << "too many regions for one index";
   InferenceIndex index;
   index.db_ = db_;
-  index.users_.reserve(slots_.size());
-  for (const auto& [user, slot] : id_order_) {
-    index.users_.push_back(slots_[slot]);
+  index.ResizeUsers(id_order_.size());
+  index.regions_.reserve(region_count_);
+  for (size_t row = 0; row < id_order_.size(); ++row) {
+    const UserEvidence& user = slots_[id_order_[row].second];
+    index.ids_[row] = user.user;
+    index.tweets_[row] = user.tweets;
+    index.gps_tweets_[row] = user.gps_tweets;
+    index.text_votes_[row] = user.text_votes;
+    index.regions_.insert(index.regions_.end(), user.regions.begin(),
+                          user.regions.end());
+    index.region_offsets_[row + 1] =
+        static_cast<uint32_t>(index.regions_.size());
   }
   return index;
 }
 
 std::shared_ptr<const InferenceIndex> EvidenceBuilder::Build() const {
   return std::make_shared<const InferenceIndex>(Snapshot());
+}
+
+void InferenceIndex::ResizeUsers(size_t users) {
+  ids_.resize(users);
+  tweets_.resize(users);
+  gps_tweets_.resize(users);
+  text_votes_.resize(users);
+  region_offsets_.resize(users + 1);
+  region_offsets_[0] = 0;
 }
 
 InferenceIndex InferenceIndex::Build(const twitter::Dataset& dataset,
@@ -136,69 +207,121 @@ InferenceIndex InferenceIndex::Build(const io::CorpusView& view,
 InferenceIndex InferenceIndex::Build(const io::CorpusView& view,
                                      const geo::AdminDb& db,
                                      common::ThreadPool* pool) {
-  const text::GazetteerMatcher matcher(&db);
-  // One slot per user row; each shard folds its own rows' tweets.
-  std::vector<UserEvidence> slots(view.user_count());
+  const size_t rows = view.user_count();
+  STIR_CHECK(rows <= kMaxOffset) << "too many user rows for one index";
+  // (id, row) of every user row, put in (id, row) order unless the rows
+  // already ascend.
+  Column<IdRow> order(rows);
+  const size_t shards = common::NumShards(pool, rows);
+  std::vector<twitter::UserId> shard_min(shards), shard_max(shards);
+  std::vector<char> shard_sorted(shards, 1);
   common::ParallelForShards(
-      pool, slots.size(), [&](size_t, size_t begin, size_t end) {
-        EvidenceBuilder::Scratch scratch;
+      pool, rows, [&](size_t shard, size_t begin, size_t end) {
+        twitter::UserId min = view.user_id(begin);
+        twitter::UserId max = min;
         for (size_t row = begin; row < end; ++row) {
-          UserEvidence& user = slots[row];
-          user.user = view.user_id(row);
-          for (uint64_t pos = view.user_tweet_begin(row);
-               pos < view.user_tweet_end(row); ++pos) {
-            const size_t tweet = view.user_tweet_row(pos);
-            const bool has_gps = view.tweet_has_gps(tweet);
-            const geo::LatLng gps =
-                has_gps ? view.tweet_gps(tweet) : geo::LatLng{};
-            EvidenceBuilder::Fold(db, matcher, has_gps ? &gps : nullptr,
-                                  view.tweet_time(tweet),
-                                  view.tweet_text(tweet), &scratch, &user);
+          const twitter::UserId id = view.user_id(row);
+          order[row] = {id, static_cast<uint32_t>(row)};
+          if (row > 0 && id < view.user_id(row - 1)) shard_sorted[shard] = 0;
+          min = std::min(min, id);
+          max = std::max(max, id);
+        }
+        shard_min[shard] = min;
+        shard_max[shard] = max;
+      });
+  if (std::find(shard_sorted.begin(), shard_sorted.end(), 0) !=
+      shard_sorted.end()) {
+    RadixSortById(pool, *std::min_element(shard_min.begin(), shard_min.end()),
+                  *std::max_element(shard_max.begin(), shard_max.end()),
+                  &order);
+  }
+
+  // Where each distinct id's rows start in `order`, then the end.
+  std::vector<uint32_t> starts;
+  starts.reserve(rows + 1);
+  for (size_t at = 0; at < rows; ++at) {
+    if (at == 0 || order[at].id != order[at - 1].id) {
+      starts.push_back(static_cast<uint32_t>(at));
+    }
+  }
+  starts.push_back(static_cast<uint32_t>(rows));
+  const size_t users = starts.size() - 1;
+
+  InferenceIndex index;
+  index.db_ = &db;
+  index.ResizeUsers(users);
+  const text::GazetteerMatcher matcher(&db);
+  // Each shard folds its ids into their rows of the table, its regions
+  // into its own array with shard-relative offsets.
+  std::vector<std::vector<RegionEvidence>> shard_regions(
+      common::NumShards(pool, users));
+  common::ParallelForShards(
+      pool, users, [&](size_t shard, size_t begin, size_t end) {
+        EvidenceBuilder::Scratch scratch;
+        UserEvidence user;
+        std::vector<RegionEvidence>& regions = shard_regions[shard];
+        for (size_t out = begin; out < end; ++out) {
+          user.tweets = user.gps_tweets = user.text_votes = 0;
+          user.regions.clear();
+          for (uint32_t at = starts[out]; at < starts[out + 1]; ++at) {
+            const size_t row = order[at].row;
+            for (uint64_t pos = view.user_tweet_begin(row);
+                 pos < view.user_tweet_end(row); ++pos) {
+              const size_t tweet = view.user_tweet_row(pos);
+              const bool has_gps = view.tweet_has_gps(tweet);
+              const geo::LatLng gps =
+                  has_gps ? view.tweet_gps(tweet) : geo::LatLng{};
+              EvidenceBuilder::Fold(db, matcher, has_gps ? &gps : nullptr,
+                                    view.tweet_time(tweet),
+                                    view.tweet_text(tweet), &scratch, &user);
+            }
           }
+          index.ids_[out] = order[starts[out]].id;
+          index.tweets_[out] = user.tweets;
+          index.gps_tweets_[out] = user.gps_tweets;
+          index.text_votes_[out] = user.text_votes;
+          regions.insert(regions.end(), user.regions.begin(),
+                         user.regions.end());
+          STIR_CHECK(regions.size() <= kMaxOffset)
+              << "too many regions for one index";
+          index.region_offsets_[out + 1] =
+              static_cast<uint32_t>(regions.size());
         }
       });
 
-  // Move the slots into id order; row order breaks ties, and a repeated
-  // id folds into its first slot.
-  std::vector<uint32_t> order(slots.size());
-  for (uint32_t row = 0; row < order.size(); ++row) order[row] = row;
-  auto by_id = [&](uint32_t a, uint32_t b) {
-    return slots[a].user < slots[b].user;
-  };
-  if (!std::is_sorted(order.begin(), order.end(), by_id)) {
-    std::stable_sort(order.begin(), order.end(), by_id);
+  // Concatenate: a shard's regions follow those of the shards before it.
+  std::vector<size_t> base(shard_regions.size() + 1, 0);
+  for (size_t shard = 0; shard < shard_regions.size(); ++shard) {
+    base[shard + 1] = base[shard] + shard_regions[shard].size();
   }
-  InferenceIndex index;
-  index.db_ = &db;
-  index.users_.reserve(slots.size());
-  for (uint32_t row : order) {
-    if (!index.users_.empty() && index.users_.back().user == slots[row].user) {
-      EvidenceBuilder::Merge(slots[row], &index.users_.back());
-    } else {
-      index.users_.push_back(std::move(slots[row]));
-    }
-  }
+  STIR_CHECK(base.back() <= kMaxOffset) << "too many regions for one index";
+  index.regions_.resize(base.back());
+  common::ParallelForShards(
+      pool, users, [&](size_t shard, size_t begin, size_t end) {
+        std::copy(shard_regions[shard].begin(), shard_regions[shard].end(),
+                  index.regions_.begin() +
+                      static_cast<std::ptrdiff_t>(base[shard]));
+        for (size_t out = begin; out < end; ++out) {
+          index.region_offsets_[out + 1] += static_cast<uint32_t>(base[shard]);
+        }
+      });
   return index;
 }
 
-const UserEvidence* InferenceIndex::FindUser(twitter::UserId user) const {
-  auto it = std::lower_bound(users_.begin(), users_.end(), user,
-                             [](const UserEvidence& e, twitter::UserId id) {
-                               return e.user < id;
-                             });
-  if (it == users_.end() || it->user != user) return nullptr;
-  return &*it;
+std::optional<UserEvidenceView> InferenceIndex::FindUser(
+    twitter::UserId user) const {
+  auto it = std::lower_bound(ids_.begin(), ids_.end(), user);
+  if (it == ids_.end() || *it != user) return std::nullopt;
+  return UserAt(static_cast<size_t>(it - ids_.begin()));
 }
 
 int64_t InferenceIndex::MemoryBytes() const {
-  int64_t bytes = static_cast<int64_t>(sizeof(*this)) +
-                  static_cast<int64_t>(users_.capacity() *
-                                       sizeof(UserEvidence));
-  for (const UserEvidence& user : users_) {
-    bytes += static_cast<int64_t>(user.regions.capacity() *
-                                  sizeof(RegionEvidence));
-  }
-  return bytes;
+  const auto bytes = [](const auto& column) {
+    return static_cast<int64_t>(column.capacity() * sizeof(column[0]));
+  };
+  return static_cast<int64_t>(sizeof(*this)) + bytes(ids_) + bytes(tweets_) +
+         bytes(gps_tweets_) + bytes(text_votes_) + bytes(region_offsets_) +
+         bytes(regions_);
 }
 
 }  // namespace stir::infer

@@ -3,6 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <ranges>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -49,18 +52,56 @@ struct RegionEvidence {
   int64_t text_votes = 0;
 };
 
-/// Everything the inference strategies may see about one user.
-struct UserEvidence {
+/// Everything the inference strategies may see about one user: the
+/// published form, a view into an InferenceIndex's flat table.
+struct UserEvidenceView {
   twitter::UserId user = twitter::kInvalidUser;
   /// Materialized tweet rows observed (GPS + sampled plain tweets).
   int64_t tweets = 0;
   int64_t gps_tweets = 0;   ///< Total located GPS tweets.
   int64_t text_votes = 0;   ///< Total unambiguous text mentions.
   /// Per-district evidence, ascending by region id (value-determined).
+  std::span<const RegionEvidence> regions;
+};
+
+/// One user's evidence while it accumulates: the builders' mutable slot,
+/// viewable as the published form.
+struct UserEvidence {
+  twitter::UserId user = twitter::kInvalidUser;
+  int64_t tweets = 0;
+  int64_t gps_tweets = 0;
+  int64_t text_votes = 0;
+  /// Ascending by region id.
   std::vector<RegionEvidence> regions;
+
+  operator UserEvidenceView() const {
+    return {user, tweets, gps_tweets, text_votes, regions};
+  }
 };
 
 class InferenceIndex;
+
+/// A std::vector whose resize leaves new trivially constructible
+/// elements uninitialized: the batch build writes every element of its
+/// columns on the pool, so their pages are first touched, in parallel,
+/// by the shard that fills them rather than zeroed serially up front.
+template <typename T>
+struct UninitializedAllocator : std::allocator<T> {
+  using value_type = T;
+  UninitializedAllocator() = default;
+  template <typename U>
+  UninitializedAllocator(const UninitializedAllocator<U>&) {}
+  template <typename U>
+  void construct(U* at) {
+    ::new (static_cast<void*>(at)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* at, Args&&... args) {
+    ::new (static_cast<void*>(at)) U(std::forward<Args>(args)...);
+  }
+};
+template <typename T>
+using Column = std::vector<T, UninitializedAllocator<T>>;
 
 /// Incremental evidence accumulator: the one ingest path shared by the
 /// batch builders and the streaming engine, so a sealed streaming index
@@ -80,8 +121,9 @@ class EvidenceBuilder {
   void AddTweet(const twitter::Tweet& tweet);
 
   /// Immutable value-determined snapshot: users ascending by id, regions
-  /// ascending by id within each user. A linear copy of the table, after
-  /// sorting only the users added since the previous Build().
+  /// ascending by id within each user. One linear pass writing the flat
+  /// table, after sorting only the users added since the previous
+  /// Build().
   std::shared_ptr<const InferenceIndex> Build() const;
 
   int64_t user_count() const { return static_cast<int64_t>(slots_.size()); }
@@ -106,8 +148,6 @@ class EvidenceBuilder {
                    const text::GazetteerMatcher& matcher,
                    const geo::LatLng* gps, SimTime time, std::string_view text,
                    Scratch* scratch, UserEvidence* user);
-  /// Adds `from`'s evidence into `into` (the same user's slot).
-  static void Merge(const UserEvidence& from, UserEvidence* into);
 
   /// Batch builds know their user count up front.
   void Reserve(size_t users);
@@ -124,6 +164,8 @@ class EvidenceBuilder {
   /// form: regions ascending by id, totals kept as tweets fold.
   std::vector<UserEvidence> slots_;
   std::unordered_map<twitter::UserId, uint32_t> slot_of_;
+  /// Region entries over all slots: the size of a snapshot's region array.
+  size_t region_count_ = 0;
   /// (user id, slot) ascending, for the slots that existed at the last
   /// snapshot; later slots are sorted and merged in by the next one.
   mutable std::vector<std::pair<twitter::UserId, uint32_t>> id_order_;
@@ -134,6 +176,10 @@ class EvidenceBuilder {
 /// serve::StudyIndex: built once (or republished per streaming epoch)
 /// and shared read-only across serving workers. Only tweet evidence
 /// enters; profile strings and ground truth never do.
+///
+/// One flat table in the arena's CSR layout (DESIGN.md §14): one column
+/// per user field, ascending by user id, and one region array that
+/// `region_offsets_` slices per user.
 class InferenceIndex {
  public:
   /// Batch build over a row-oriented dataset.
@@ -143,23 +189,35 @@ class InferenceIndex {
   /// sharded on a pool of std::thread::hardware_concurrency() workers.
   static InferenceIndex Build(const io::CorpusView& view,
                               const geo::AdminDb& db);
-  /// The same build on `pool` (null or inline: one shard). User rows are
-  /// split into contiguous shards, each folding its users' tweets (CSR
-  /// order) into their own slots; the slots are then moved into id
-  /// order, a repeated user id folding into one. Byte-identical for any
-  /// shard count.
+  /// The same build on `pool` (null or inline: one shard). The user
+  /// rows are put in id order on the pool (a stable radix sort, skipped
+  /// when the ids already ascend); each shard then folds its distinct
+  /// ids' tweets (CSR order, a repeated id's rows in row order) straight
+  /// into its rows of the table, and the shards' region arrays are
+  /// concatenated. Byte-identical for any shard count.
   static InferenceIndex Build(const io::CorpusView& view,
                               const geo::AdminDb& db,
                               common::ThreadPool* pool);
 
   InferenceIndex() = default;
 
-  /// O(log users); nullptr when the user is unknown.
-  const UserEvidence* FindUser(twitter::UserId user) const;
+  /// O(log users); nullopt when the user is unknown.
+  std::optional<UserEvidenceView> FindUser(twitter::UserId user) const;
 
-  const std::vector<UserEvidence>& users() const { return users_; }
-  size_t user_count() const { return users_.size(); }
-  bool empty() const { return users_.empty(); }
+  /// The user at `row` (rows ascend by user id).
+  UserEvidenceView UserAt(size_t row) const {
+    const uint32_t begin = region_offsets_[row];
+    return {ids_[row], tweets_[row], gps_tweets_[row], text_votes_[row],
+            std::span<const RegionEvidence>(regions_).subspan(
+                begin, region_offsets_[row + 1] - begin)};
+  }
+  /// Every user, ascending by id, as a random-access range of views.
+  auto users() const {
+    return std::views::iota(size_t{0}, user_count()) |
+           std::views::transform([this](size_t row) { return UserAt(row); });
+  }
+  size_t user_count() const { return ids_.size(); }
+  bool empty() const { return ids_.empty(); }
 
   /// The gazetteer the evidence was geocoded against (display names for
   /// responses and reports). Null only for a default-constructed index.
@@ -170,9 +228,19 @@ class InferenceIndex {
  private:
   friend class EvidenceBuilder;
 
+  /// Sizes the user columns for `users` users, leaving them unwritten
+  /// but for the leading zero offset.
+  void ResizeUsers(size_t users);
+
   const geo::AdminDb* db_ = nullptr;
-  /// Ascending by user id.
-  std::vector<UserEvidence> users_;
+  Column<twitter::UserId> ids_;
+  Column<int64_t> tweets_;
+  Column<int64_t> gps_tweets_;
+  Column<int64_t> text_votes_;
+  /// user_count() + 1 ascending offsets into regions_: user `row` owns
+  /// [region_offsets_[row], region_offsets_[row + 1]).
+  Column<uint32_t> region_offsets_ = {0};
+  std::vector<RegionEvidence> regions_;
 };
 
 }  // namespace stir::infer

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/string_util.h"
@@ -796,8 +797,9 @@ std::string ExecuteInferUser(const infer::InferenceIndex* index,
                       request.strategy.c_str()));
       }
     }
-    const infer::UserEvidence* evidence = index->FindUser(request.user);
-    if (evidence == nullptr) {
+    const std::optional<infer::UserEvidenceView> evidence =
+        index->FindUser(request.user);
+    if (!evidence) {
       resolved = InferOutcome::kNotFound;
       response = NotFoundResponse(
           request.id,

@@ -88,6 +88,20 @@ GazetteerMatcher::GazetteerMatcher(const geo::AdminDb* db) : db_(db) {
       head.max_tokens = std::max(head.max_tokens, CountTokens(phrase));
     }
   }
+  for (const auto& [token, head] : heads_) {
+    const size_t bit = HeadSignature(token);
+    head_signatures_[bit / 64] |= uint64_t{1} << (bit % 64);
+  }
+}
+
+size_t GazetteerMatcher::HeadSignature(std::string_view token) {
+  const auto byte = [&](size_t i) -> uint32_t {
+    return i < token.size() ? static_cast<unsigned char>(token[i]) : 0u;
+  };
+  const uint32_t key =
+      static_cast<uint32_t>(token.size()) << 16 | byte(0) << 8 | byte(1);
+  // Multiplicative hash onto the 2^15 bits of head_signatures_.
+  return (key * 0x9E3779B1u) >> 17;
 }
 
 void GazetteerMatcher::AddPhrase(const std::string& phrase, PhraseKind kind,
@@ -125,7 +139,12 @@ void GazetteerMatcher::ScanExact(const JoinedTokens& tokens,
   matches->clear();
   size_t i = 0;
   while (i < tokens.size()) {
-    auto head = heads_.find(tokens[i]);
+    // A clear signature bit: no phrase begins with this token.
+    const std::string_view token = tokens[i];
+    const size_t bit = HeadSignature(token);
+    auto head = (head_signatures_[bit / 64] >> (bit % 64) & 1u) != 0
+                    ? heads_.find(token)
+                    : heads_.end();
     if (head == heads_.end()) {
       ++i;
       continue;

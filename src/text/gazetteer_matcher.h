@@ -1,6 +1,8 @@
 #ifndef STIR_TEXT_GAZETTEER_MATCHER_H_
 #define STIR_TEXT_GAZETTEER_MATCHER_H_
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -37,8 +39,9 @@ struct PhraseMatch {
 };
 
 /// Phrase-table matcher from free text to gazetteer entries. Built once
-/// per AdminDb; the exact scan costs one hash probe per token, plus one
-/// per longer phrase length at tokens that begin a multi-word phrase.
+/// per AdminDb; the exact scan costs one bit test per token, one hash
+/// probe per token that may begin a phrase, plus one per longer phrase
+/// length at tokens that begin a multi-word phrase.
 ///
 /// Handles multi-word names ("gold coast", "new york"), aliases recorded
 /// in the gazetteer ("Yangchun-gu" for Yangcheon-gu), country aliases,
@@ -88,6 +91,10 @@ class GazetteerMatcher {
     size_t max_tokens = 1;
   };
 
+  /// Bit of `head_signatures_` for a token: a hash of its length and
+  /// first two bytes, so a token no phrase begins with mostly misses.
+  static size_t HeadSignature(std::string_view token);
+
   void AddPhrase(const std::string& phrase, PhraseKind kind,
                  geo::RegionId region, const std::string& canonical);
   /// The unique fuzzy-pool phrase at edit distance exactly 1 from
@@ -98,6 +105,8 @@ class GazetteerMatcher {
   StringMap<Phrase> table_;
   /// Keyed by the first token of every phrase.
   StringMap<Head> heads_;
+  /// HeadSignature of every heads_ key: a clear bit skips the probe.
+  std::array<uint64_t, 512> head_signatures_{};
   /// Single-token county phrases for the fuzzy pass.
   std::vector<std::string> fuzzy_pool_;
 };

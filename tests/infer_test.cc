@@ -17,6 +17,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -51,7 +52,7 @@ using geo::AdminDb;
 /// strategies are pure functions of this evidence).
 std::string Fingerprint(const InferenceIndex& index) {
   std::ostringstream out;
-  for (const UserEvidence& user : index.users()) {
+  for (const UserEvidenceView& user : index.users()) {
     out << 'u' << user.user << ':' << user.tweets << ',' << user.gps_tweets
         << ',' << user.text_votes << '[';
     for (const RegionEvidence& region : user.regions) {
@@ -69,7 +70,7 @@ std::string Decisions(const InferenceIndex& index, const InferParams& params) {
   std::ostringstream out;
   for (int s = 0; s < kNumStrategies; ++s) {
     auto inferrer = MakeInferrer(static_cast<Strategy>(s), params);
-    for (const UserEvidence& user : index.users()) {
+    for (const UserEvidenceView& user : index.users()) {
       Inference inference = inferrer->Infer(user);
       out << inferrer->name() << '/' << user.user << ':' << inference.decided
           << ',' << inference.district << ',' << inference.confidence << ','
@@ -237,8 +238,8 @@ TEST(EvidenceBuilderTest, CountsNightGpsTweetsViaTheSharedWindow) {
   builder.AddTweet(night);
 
   std::shared_ptr<const InferenceIndex> index = builder.Build();
-  const UserEvidence* evidence = index->FindUser(42);
-  ASSERT_NE(evidence, nullptr);
+  const std::optional<UserEvidenceView> evidence = index->FindUser(42);
+  ASSERT_TRUE(evidence.has_value());
   EXPECT_EQ(evidence->gps_tweets, 2);
   ASSERT_EQ(evidence->regions.size(), 1u);
   EXPECT_EQ(evidence->regions[0].region, region.id);
@@ -271,8 +272,8 @@ TEST(EvidenceBuilderTest, UnambiguousDistrictMentionsBecomeTextVotes) {
   builder.AddTweet(tweet);
 
   std::shared_ptr<const InferenceIndex> index = builder.Build();
-  const UserEvidence* evidence = index->FindUser(9);
-  ASSERT_NE(evidence, nullptr);
+  const std::optional<UserEvidenceView> evidence = index->FindUser(9);
+  ASSERT_TRUE(evidence.has_value());
   EXPECT_EQ(evidence->gps_tweets, 0);
   EXPECT_EQ(evidence->text_votes, 1);
   ASSERT_EQ(evidence->regions.size(), 1u);
@@ -371,7 +372,7 @@ void ExpectMatchesOracle(const InferenceIndex& index,
                          const std::string& label) {
   ASSERT_EQ(index.user_count(), oracle.size()) << label;
   auto expected = oracle.begin();
-  for (const UserEvidence& user : index.users()) {
+  for (const UserEvidenceView& user : index.users()) {
     SCOPED_TRACE(label + " user " + std::to_string(user.user));
     ASSERT_EQ(user.user, expected->first);
     const OracleUser& want = expected->second;
@@ -655,53 +656,96 @@ TEST_F(InferCorpusTest, ShardedViewBuildsEqualTheSerialBuilderOnAnyPool) {
   EXPECT_TRUE(grouped->grouped());
   EXPECT_FALSE(ungrouped->grouped());
 
+  // Two edge datasets: no users at all, and users that have no tweets,
+  // with random 47-bit ids, so the id sort takes all its radix passes.
+  twitter::Dataset tweetless;
+  std::vector<twitter::UserId> tweetless_ids;
+  for (int i = 0; i < 300; ++i) {
+    twitter::User user;
+    user.id = static_cast<twitter::UserId>(rng.Next() >> 17);
+    tweetless_ids.push_back(user.id);
+    tweetless.AddUser(std::move(user));
+  }
+  EvidenceBuilder tweetless_serial(db_);
+  for (twitter::UserId id : tweetless_ids) tweetless_serial.AddUser(id);
+  auto empty_image = io::CorpusView::FromDataset(twitter::Dataset{});
+  auto tweetless_image = io::CorpusView::FromDataset(tweetless);
+  ASSERT_TRUE(empty_image.ok() && tweetless_image.ok());
+
   struct Case {
     const char* name;
     const io::CorpusView* view;
+    std::string want;
   };
-  for (const Case& c : {Case{"grouped", &*grouped},
-                        Case{"ungrouped", &*ungrouped},
-                        Case{"image", &*image}}) {
-    EXPECT_EQ(Fingerprint(InferenceIndex::Build(*c.view, *db_, nullptr)), want)
+  const std::string no_users = Fingerprint(*EvidenceBuilder(db_).Build());
+  for (const Case& c :
+       {Case{"grouped", &*grouped, want}, Case{"ungrouped", &*ungrouped, want},
+        Case{"image", &*image, want},
+        Case{"empty", &*empty_image, no_users},
+        Case{"tweetless", &*tweetless_image,
+             Fingerprint(*tweetless_serial.Build())}}) {
+    EXPECT_EQ(Fingerprint(InferenceIndex::Build(*c.view, *db_, nullptr)),
+              c.want)
         << c.name << " (inline)";
     for (int workers : {1, 2, 8}) {
       common::ThreadPool pool(workers);
-      EXPECT_EQ(Fingerprint(InferenceIndex::Build(*c.view, *db_, &pool)), want)
+      EXPECT_EQ(Fingerprint(InferenceIndex::Build(*c.view, *db_, &pool)),
+                c.want)
           << c.name << " (" << workers << " workers)";
     }
-    EXPECT_EQ(Fingerprint(InferenceIndex::Build(*c.view, *db_)), want)
+    EXPECT_EQ(Fingerprint(InferenceIndex::Build(*c.view, *db_)), c.want)
         << c.name << " (default pool)";
+  }
+
+  EXPECT_TRUE(InferenceIndex::Build(*empty_image, *db_).empty());
+  common::ThreadPool pool(3);
+  const InferenceIndex index =
+      InferenceIndex::Build(*tweetless_image, *db_, &pool);
+  EXPECT_EQ(index.user_count(), tweetless_ids.size());
+  for (twitter::UserId id : tweetless_ids) {
+    const std::optional<UserEvidenceView> user = index.FindUser(id);
+    ASSERT_TRUE(user.has_value()) << id;
+    EXPECT_EQ(user->user, id);
+    EXPECT_EQ(user->tweets, 0);
+    EXPECT_EQ(user->gps_tweets, 0);
+    EXPECT_EQ(user->text_votes, 0);
+    EXPECT_TRUE(user->regions.empty()) << id;
   }
   std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedBuildTest, RepeatedUserIdFoldsIntoOneSlot) {
-  // The writer refuses duplicate ids, so write two users and patch the
-  // second's id into the first's (the patched file fails its CRC, so it
-  // is opened unverified).
+  // Rows A, B, A: the writer refuses duplicate ids, so write three users
+  // and patch the third's id into the first's (the patched file fails its
+  // CRC, so it is opened unverified). The two A rows are not adjacent,
+  // so only the id order can gather them.
   const AdminDb& db = AdminDb::KoreanDistricts();
   const twitter::UserId first = 0x0123456789AB;
-  const twitter::UserId second = 0x0FEDCBA98765;
+  const twitter::UserId middle = 0x0FEDCBA98765;
+  const twitter::UserId third = 0x0ABCDEF01234;
   const geo::RegionId mapo = *db.FindCounty("Seoul", "Mapo-gu");
   const geo::RegionId jung = *db.FindCounty("Busan", "Jung-gu");
   Rng rng(9);
   twitter::Dataset dataset;
-  for (twitter::UserId id : {first, second}) {
+  for (twitter::UserId id : {first, middle, third}) {
     twitter::User user;
     user.id = id;
     dataset.AddUser(user);
   }
   EvidenceBuilder serial(&db);
   serial.AddUser(first);
-  for (int i = 0; i < 6; ++i) {
+  serial.AddUser(middle);
+  const twitter::UserId row_ids[] = {first, middle, third};
+  for (int i = 0; i < 9; ++i) {
+    const twitter::UserId row_id = row_ids[i % 3];
     twitter::Tweet tweet;
     tweet.id = 1000 + i;
-    tweet.user = i % 2 == 0 ? first : second;
+    tweet.user = row_id;
     tweet.time = i * 7 * kSecondsPerHour;
-    tweet.gps = db.SamplePointIn(i < 3 ? mapo : jung, rng);
-    tweet.text = i == 4 ? "lunch in Mapo-gu" : "hello";
+    tweet.gps = db.SamplePointIn(i < 4 ? mapo : jung, rng);
+    tweet.text = i % 4 == 2 ? "lunch in Mapo-gu" : "hello";
     dataset.AddTweet(tweet);
-    tweet.user = first;
+    tweet.user = row_id == third ? first : row_id;
     serial.AddTweet(tweet);
   }
   const std::string want = Fingerprint(*serial.Build());
@@ -717,7 +761,7 @@ TEST(ShardedBuildTest, RepeatedUserIdFoldsIntoOneSlot) {
     std::ifstream in(path, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(in), {});
   }
-  const std::string from(reinterpret_cast<const char*>(&second), 8);
+  const std::string from(reinterpret_cast<const char*>(&third), 8);
   const std::string to(reinterpret_cast<const char*>(&first), 8);
   const size_t at = bytes.find(from);
   ASSERT_NE(at, std::string::npos);
@@ -731,11 +775,14 @@ TEST(ShardedBuildTest, RepeatedUserIdFoldsIntoOneSlot) {
   unverified.verify_crc = false;
   auto view = io::CorpusView::Open(path, unverified);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  ASSERT_EQ(view->user_id(0), view->user_id(1));
-  for (int workers : {0, 2}) {
+  ASSERT_EQ(view->user_count(), 3u);
+  ASSERT_EQ(view->user_id(0), first);
+  ASSERT_EQ(view->user_id(1), middle);
+  ASSERT_EQ(view->user_id(2), first);
+  for (int workers : {0, 2, 3}) {
     common::ThreadPool pool(workers);
     const InferenceIndex index = InferenceIndex::Build(*view, db, &pool);
-    EXPECT_EQ(index.user_count(), 1u) << workers << " workers";
+    EXPECT_EQ(index.user_count(), 2u) << workers << " workers";
     EXPECT_EQ(Fingerprint(index), want) << workers << " workers";
   }
   std::filesystem::remove_all(dir);
@@ -750,7 +797,7 @@ TEST_F(InferCorpusTest, InferResponsesAreByteIdenticalAcrossWorkerCounts) {
   std::string payload;
   int64_t id = 0;
   const char* strategies[] = {"", "spatial", "diurnal", "text"};
-  for (const UserEvidence& user : index_->users()) {
+  for (const UserEvidenceView& user : index_->users()) {
     std::string strategy = strategies[id % 4];
     payload += "{\"v\":1,\"id\":" + std::to_string(id++) +
                ",\"method\":\"infer_user\",\"params\":{\"user\":" +

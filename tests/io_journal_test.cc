@@ -8,9 +8,11 @@
 #include <vector>
 
 #include "common/crc32c.h"
+#include "common/crc32c_internal.h"
 #include "common/random.h"
 #include "geo/geocode_journal.h"
 #include "io/atomic_file.h"
+#include "io/corpus.h"
 #include "io/serialize.h"
 #include "io/snapshot.h"
 
@@ -64,23 +66,45 @@ uint32_t BytewiseCrc32c(std::string_view data) {
 }
 
 TEST(Crc32cTest, MatchesBytewiseReferenceOnSeededBuffers) {
+  // Longer than one corpus verify window, so the window-sized extends
+  // CorpusView::Open makes are covered too.
   Rng rng(0xC3C32C);
-  std::string buffer(1 << 20, '\0');
+  std::string buffer(kCorpusVerifyWindow + 4099, '\0');
   for (char& c : buffer) c = static_cast<char>(rng.Next() & 0xFFu);
   const std::string_view view(buffer);
-  EXPECT_EQ(Crc32c(view), BytewiseCrc32c(view));
-  // Unaligned starts and lengths that leave every tail size.
-  for (size_t offset = 0; offset < 8; ++offset) {
-    const std::string_view slice = view.substr(offset, 1000 + 3 * offset);
-    EXPECT_EQ(Crc32c(slice), BytewiseCrc32c(slice)) << offset;
+  const uint32_t whole = BytewiseCrc32c(view);
+  EXPECT_EQ(Crc32c(view), whole);
+
+  // Every implementation this host runs, not only the one Crc32c picked.
+  std::string ran;
+  for (const crc32c_internal::Implementation& impl :
+       crc32c_internal::Implementations()) {
+    SCOPED_TRACE(impl.name);
+    ran += std::string(ran.empty() ? "" : ", ") + impl.name;
+    const auto crc = [&](std::string_view data) {
+      return Crc32cFinish(impl.extend(kCrc32cInit, data));
+    };
+    EXPECT_EQ(crc(view), whole);
+    // Every length from 0 to 130 at every alignment from 0 to 7, so each
+    // implementation's word loop and byte tail see every split.
+    for (size_t align = 0; align < 8; ++align) {
+      for (size_t length = 0; length <= 130; ++length) {
+        const std::string_view slice = view.substr(align, length);
+        EXPECT_EQ(crc(slice), BytewiseCrc32c(slice))
+            << "align " << align << " length " << length;
+      }
+    }
+    // Every split point through the incremental form.
+    const std::string_view small = view.substr(3, 130);
+    const uint32_t small_crc = BytewiseCrc32c(small);
+    for (size_t split = 0; split <= small.size(); ++split) {
+      uint32_t state = impl.extend(kCrc32cInit, small.substr(0, split));
+      state = impl.extend(state, small.substr(split));
+      EXPECT_EQ(Crc32cFinish(state), small_crc) << "split " << split;
+    }
   }
-  // Every split point of a 64-byte buffer through the incremental form.
-  const std::string_view small = view.substr(0, 64);
-  for (size_t split = 0; split <= small.size(); ++split) {
-    uint32_t state = Crc32cExtend(kCrc32cInit, small.substr(0, split));
-    state = Crc32cExtend(state, small.substr(split));
-    EXPECT_EQ(Crc32cFinish(state), BytewiseCrc32c(small)) << split;
-  }
+  std::printf("[          ] CRC32C implementations checked: %s\n",
+              ran.c_str());
 }
 
 TEST(SerializeTest, RoundTrip) {

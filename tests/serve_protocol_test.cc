@@ -288,7 +288,7 @@ twitter::UserId FindUserByDecision(const infer::InferenceIndex& index,
                                    bool want_decided) {
   std::unique_ptr<infer::HomeInferrer> inferrer =
       infer::MakeInferrer(infer::Strategy::kDiurnal, infer::InferParams{});
-  for (const infer::UserEvidence& evidence : index.users()) {
+  for (const infer::UserEvidenceView& evidence : index.users()) {
     if (inferrer->Infer(evidence).decided == want_decided) {
       return evidence.user;
     }
