@@ -7,7 +7,8 @@
 // throughput (tweets/s, seal cost included) and the latency distribution
 // of the sealing AddTweet calls — the calls that rebuild and RCU-swap a
 // fresh generation — as swap p50/p99. A final equivalence gate checks
-// the last sealed generation answers byte-identically to the batch index.
+// the last sealed generation answers byte-identically to the batch index
+// and that its inference evidence equals the batch evidence build.
 //
 // Usage: bench_stream [scale] [--json <path>]
 //
@@ -23,6 +24,7 @@
 
 #include "bench_util.h"
 #include "common/string_util.h"
+#include "infer/inference_index.h"
 #include "serve/protocol.h"
 #include "serve/study_index.h"
 #include "stream/engine.h"
@@ -60,6 +62,7 @@ struct IngestResult {
   double swap_p50_us = 0.0;    ///< Latency of sealing AddTweet calls.
   double swap_p99_us = 0.0;
   std::shared_ptr<const serve::StudyIndex> index;
+  std::shared_ptr<const infer::InferenceIndex> infer_index;
   int64_t generation = 0;
   int64_t epochs_sealed = 0;
 };
@@ -114,6 +117,7 @@ IngestResult RunIngest(const geo::AdminDb& db,
         static_cast<double>(swap_us[(swap_us.size() * 99) / 100]);
   }
   result.index = engine.CurrentIndex();
+  result.infer_index = engine.CurrentInferIndex();
   result.generation = engine.generation();
   result.epochs_sealed = engine.epochs_sealed();
   return result;
@@ -145,6 +149,31 @@ bool AnswersMatch(const serve::StudyIndex& streamed,
   return true;
 }
 
+/// Field-by-field equality of two evidence generations.
+bool EvidenceMatches(const infer::InferenceIndex& streamed,
+                     const infer::InferenceIndex& batch) {
+  if (streamed.user_count() != batch.user_count()) return false;
+  for (size_t row = 0; row < batch.user_count(); ++row) {
+    const infer::UserEvidenceView a = streamed.UserAt(row);
+    const infer::UserEvidenceView b = batch.UserAt(row);
+    if (a.user != b.user || a.tweets != b.tweets ||
+        a.gps_tweets != b.gps_tweets || a.text_votes != b.text_votes ||
+        a.regions.size() != b.regions.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < a.regions.size(); ++i) {
+      const infer::RegionEvidence& x = a.regions[i];
+      const infer::RegionEvidence& y = b.regions[i];
+      if (x.region != y.region || x.gps_tweets != y.gps_tweets ||
+          x.night_gps_tweets != y.night_gps_tweets ||
+          x.text_votes != y.text_votes) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 int Main(int argc, char** argv) {
   Args args;
   if (!ParseBenchArgs(argc, argv, &args)) {
@@ -160,6 +189,8 @@ int Main(int argc, char** argv) {
   StudyRun run = RunKoreanStudy(args.scale);
   const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
   serve::StudyIndex batch = serve::StudyIndex::Build(run.result, db);
+  const infer::InferenceIndex batch_evidence =
+      infer::InferenceIndex::Build(run.data.dataset, db);
   const int64_t tweets =
       static_cast<int64_t>(run.data.dataset.tweets().size());
   std::printf("dataset: %zu users, %lld tweets; batch index: %zu users, "
@@ -211,6 +242,12 @@ int Main(int argc, char** argv) {
                     AnswersMatch(*result.index, batch),
                 StrFormat("epoch %lld final generation answers "
                           "byte-identically to batch",
+                          static_cast<long long>(kEpochSizes[i]))
+                    .c_str());
+    ok &= Check(result.infer_index != nullptr &&
+                    EvidenceMatches(*result.infer_index, batch_evidence),
+                StrFormat("epoch %lld final evidence equals the batch "
+                          "evidence build",
                           static_cast<long long>(kEpochSizes[i]))
                     .c_str());
   }

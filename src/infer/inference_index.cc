@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <thread>
+#include <unordered_map>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -14,12 +15,6 @@ namespace {
 
 /// Region offsets and user rows are stored as uint32.
 constexpr size_t kMaxOffset = std::numeric_limits<uint32_t>::max();
-
-/// A user row and its id.
-struct IdRow {
-  twitter::UserId id;
-  uint32_t row;
-};
 
 /// Sorts `items` by id on `pool`, stably (one id's entries keep their
 /// order): an LSD radix over id − `min`, 11 bits a pass, as many passes
@@ -74,19 +69,19 @@ EvidenceBuilder::EvidenceBuilder(const geo::AdminDb* db)
   STIR_CHECK(db != nullptr);
 }
 
-void EvidenceBuilder::AddUser(twitter::UserId user) { Slot(user); }
+uint32_t EvidenceBuilder::AddUser(twitter::UserId user) {
+  STIR_CHECK(slots_.size() < kMaxOffset) << "too many users for one index";
+  const auto slot = static_cast<uint32_t>(slots_.size());
+  slots_.emplace_back().user = user;
+  touched_.push_back({user, slot});
+  changed_.push_back(true);
+  return slot;
+}
 
 void EvidenceBuilder::Reserve(size_t users) {
   slots_.reserve(users);
-  slot_of_.reserve(users);
-}
-
-UserEvidence& EvidenceBuilder::Slot(twitter::UserId user) {
-  STIR_CHECK(slots_.size() < kMaxOffset) << "too many users for one index";
-  auto [it, added] =
-      slot_of_.try_emplace(user, static_cast<uint32_t>(slots_.size()));
-  if (added) slots_.emplace_back().user = user;
-  return slots_[it->second];
+  touched_.reserve(users);
+  changed_.reserve(users);
 }
 
 RegionEvidence& EvidenceBuilder::RegionOf(UserEvidence& user,
@@ -100,8 +95,13 @@ RegionEvidence& EvidenceBuilder::RegionOf(UserEvidence& user,
   return *it;
 }
 
-void EvidenceBuilder::AddTweet(const twitter::Tweet& tweet) {
-  UserEvidence& user = Slot(tweet.user);
+void EvidenceBuilder::AddTweet(uint32_t slot, const twitter::Tweet& tweet) {
+  STIR_CHECK(slot < slots_.size()) << "unknown evidence slot " << slot;
+  UserEvidence& user = slots_[slot];
+  if (!changed_[slot]) {
+    changed_[slot] = true;
+    touched_.push_back({user.user, slot});
+  }
   const size_t regions = user.regions.size();
   Fold(*db_, matcher_, tweet.gps.has_value() ? &*tweet.gps : nullptr,
        tweet.time, tweet.text, &scratch_, &user);
@@ -144,37 +144,80 @@ void EvidenceBuilder::Fold(const geo::AdminDb& db,
   }
 }
 
-InferenceIndex EvidenceBuilder::Snapshot() const {
-  const size_t sorted = id_order_.size();
-  if (sorted < slots_.size()) {
-    for (size_t slot = sorted; slot < slots_.size(); ++slot) {
-      id_order_.emplace_back(slots_[slot].user, static_cast<uint32_t>(slot));
-    }
-    auto added = id_order_.begin() + static_cast<std::ptrdiff_t>(sorted);
-    std::sort(added, id_order_.end());
-    std::inplace_merge(id_order_.begin(), added, id_order_.end());
+InferenceIndex EvidenceBuilder::Snapshot() {
+  const InferenceIndex empty;
+  const InferenceIndex& base = published_ != nullptr ? *published_ : empty;
+  // Every slot below `base_users` has a row in the base; the rest are new.
+  const size_t base_users = base.user_count();
+  if (touched_.size() > 1) {
+    const auto [min, max] = std::minmax_element(
+        touched_.begin(), touched_.end(),
+        [](const IdRow& a, const IdRow& b) { return a.id < b.id; });
+    RadixSortById(nullptr, min->id, max->id, &touched_);
   }
   STIR_CHECK(region_count_ <= kMaxOffset) << "too many regions for one index";
   InferenceIndex index;
   index.db_ = db_;
-  index.ResizeUsers(id_order_.size());
+  index.ResizeUsers(slots_.size());
   index.regions_.reserve(region_count_);
-  for (size_t row = 0; row < id_order_.size(); ++row) {
-    const UserEvidence& user = slots_[id_order_[row].second];
-    index.ids_[row] = user.user;
-    index.tweets_[row] = user.tweets;
-    index.gps_tweets_[row] = user.gps_tweets;
-    index.text_votes_[row] = user.text_votes;
+
+  // One merge by id: base rows [row, end) that no touched slot rewrites
+  // are copied as a run, then the touched slot is written in place.
+  size_t row = 0;
+  size_t out = 0;
+  const auto copy_clean = [&](size_t end) {
+    const auto from = static_cast<std::ptrdiff_t>(row);
+    const auto to = static_cast<std::ptrdiff_t>(end);
+    const auto at = static_cast<std::ptrdiff_t>(out);
+    std::copy(base.ids_.begin() + from, base.ids_.begin() + to,
+              index.ids_.begin() + at);
+    std::copy(base.tweets_.begin() + from, base.tweets_.begin() + to,
+              index.tweets_.begin() + at);
+    std::copy(base.gps_tweets_.begin() + from, base.gps_tweets_.begin() + to,
+              index.gps_tweets_.begin() + at);
+    std::copy(base.text_votes_.begin() + from, base.text_votes_.begin() + to,
+              index.text_votes_.begin() + at);
+    const uint32_t first = base.region_offsets_[row];
+    const auto written = static_cast<uint32_t>(index.regions_.size());
+    for (size_t r = row; r < end; ++r) {
+      index.region_offsets_[out + (r - row) + 1] =
+          base.region_offsets_[r + 1] - first + written;
+    }
+    index.regions_.insert(index.regions_.end(), base.regions_.begin() + first,
+                          base.regions_.begin() + base.region_offsets_[end]);
+    out += end - row;
+    row = end;
+  };
+  for (const auto& [id, slot] : touched_) {
+    copy_clean(static_cast<size_t>(
+        std::lower_bound(base.ids_.begin() + static_cast<std::ptrdiff_t>(row),
+                         base.ids_.end(), id) -
+        base.ids_.begin()));
+    const bool in_base = row < base_users && base.ids_[row] == id;
+    STIR_CHECK(in_base == (slot < base_users) &&
+               (out == 0 || index.ids_[out - 1] < id))
+        << "user " << id << " has more than one evidence slot";
+    if (in_base) ++row;
+    const UserEvidence& user = slots_[slot];
+    index.ids_[out] = id;
+    index.tweets_[out] = user.tweets;
+    index.gps_tweets_[out] = user.gps_tweets;
+    index.text_votes_[out] = user.text_votes;
     index.regions_.insert(index.regions_.end(), user.regions.begin(),
                           user.regions.end());
-    index.region_offsets_[row + 1] =
+    index.region_offsets_[out + 1] =
         static_cast<uint32_t>(index.regions_.size());
+    ++out;
+    changed_[slot] = false;
   }
+  copy_clean(base_users);
+  touched_.clear();
   return index;
 }
 
-std::shared_ptr<const InferenceIndex> EvidenceBuilder::Build() const {
-  return std::make_shared<const InferenceIndex>(Snapshot());
+std::shared_ptr<const InferenceIndex> EvidenceBuilder::Build() {
+  published_ = std::make_shared<const InferenceIndex>(Snapshot());
+  return published_;
 }
 
 void InferenceIndex::ResizeUsers(size_t users) {
@@ -190,9 +233,16 @@ InferenceIndex InferenceIndex::Build(const twitter::Dataset& dataset,
                                      const geo::AdminDb& db) {
   EvidenceBuilder builder(&db);
   builder.Reserve(dataset.users().size());
-  for (const twitter::User& user : dataset.users()) builder.AddUser(user.id);
+  std::unordered_map<twitter::UserId, uint32_t> slot_of;
+  slot_of.reserve(dataset.users().size());
+  const auto slot = [&](twitter::UserId user) {
+    auto [it, added] = slot_of.try_emplace(user, 0);
+    if (added) it->second = builder.AddUser(user);
+    return it->second;
+  };
+  for (const twitter::User& user : dataset.users()) slot(user.id);
   for (const twitter::Tweet& tweet : dataset.tweets()) {
-    builder.AddTweet(tweet);
+    builder.AddTweet(slot(tweet.user), tweet);
   }
   return builder.Snapshot();
 }

@@ -7,7 +7,6 @@
 #include <ranges>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -103,28 +102,39 @@ struct UninitializedAllocator : std::allocator<T> {
 template <typename T>
 using Column = std::vector<T, UninitializedAllocator<T>>;
 
+/// A user id and the row (or builder slot) it names: what the builds
+/// sort into id order.
+struct IdRow {
+  twitter::UserId id;
+  uint32_t row;
+};
+
 /// Incremental evidence accumulator: the one ingest path shared by the
 /// batch builders and the streaming engine, so a sealed streaming index
-/// is byte-identical to a batch build over the same prefix. Thread
-/// compatibility matches the stream engine's: callers serialize Add*
-/// externally; Build() snapshots may be taken between Adds.
+/// is byte-identical to a batch build over the same prefix. Users are
+/// addressed by slot, the dense arrival index AddUser hands out; mapping
+/// ids to slots is the caller's (the stream engine's user table, the
+/// dataset build's map). Thread compatibility matches the stream
+/// engine's: callers serialize every call externally.
 class EvidenceBuilder {
  public:
   /// `db` must outlive the builder and every index built from it.
   explicit EvidenceBuilder(const geo::AdminDb* db);
 
-  /// Registers a user (evidence-blind: only the id is read). Idempotent.
-  void AddUser(twitter::UserId user);
+  /// Appends a slot for `user` (evidence-blind: only the id is read) and
+  /// returns it; slots count up from 0 in call order. Ids must be
+  /// distinct (checked by the next Build()).
+  uint32_t AddUser(twitter::UserId user);
 
-  /// Folds one tweet (see Fold). Tweets of unregistered users register
-  /// them implicitly.
-  void AddTweet(const twitter::Tweet& tweet);
+  /// Folds one tweet (see Fold) into `slot`, which AddUser returned.
+  void AddTweet(uint32_t slot, const twitter::Tweet& tweet);
 
-  /// Immutable value-determined snapshot: users ascending by id, regions
-  /// ascending by id within each user. One linear pass writing the flat
-  /// table, after sorting only the users added since the previous
-  /// Build().
-  std::shared_ptr<const InferenceIndex> Build() const;
+  /// The next immutable generation, value-determined: users ascending by
+  /// id, regions ascending by id within each user. It is written in one
+  /// pass over the previous Build()'s generation: clean runs of rows are
+  /// copied, and only the slots added or folded into since — sorted by
+  /// id — are written from their accumulators.
+  std::shared_ptr<const InferenceIndex> Build();
 
   int64_t user_count() const { return static_cast<int64_t>(slots_.size()); }
 
@@ -151,24 +161,26 @@ class EvidenceBuilder {
 
   /// Batch builds know their user count up front.
   void Reserve(size_t users);
-  /// The user's slot, created on first sight.
-  UserEvidence& Slot(twitter::UserId user);
   /// The user's evidence for `region`, inserted in region order.
   static RegionEvidence& RegionOf(UserEvidence& user, geo::RegionId region);
-  /// What Build() publishes, as a value.
-  InferenceIndex Snapshot() const;
+  /// Build()'s generation, as a value; it forgets which slots changed, so
+  /// only Build(), which keeps the result as the next merge's base, and a
+  /// builder's one and final snapshot may call it.
+  InferenceIndex Snapshot();
 
   const geo::AdminDb* db_;
   text::GazetteerMatcher matcher_;
   /// One slot per user in arrival order, each already in its published
   /// form: regions ascending by id, totals kept as tweets fold.
   std::vector<UserEvidence> slots_;
-  std::unordered_map<twitter::UserId, uint32_t> slot_of_;
   /// Region entries over all slots: the size of a snapshot's region array.
   size_t region_count_ = 0;
-  /// (user id, slot) ascending, for the slots that existed at the last
-  /// snapshot; later slots are sorted and merged in by the next one.
-  mutable std::vector<std::pair<twitter::UserId, uint32_t>> id_order_;
+  /// The slots added or folded into since the last snapshot, each once
+  /// (`changed_[slot]` marks them).
+  Column<IdRow> touched_;
+  std::vector<bool> changed_;
+  /// The last Build()'s generation: the base the next one is merged from.
+  std::shared_ptr<const InferenceIndex> published_;
   Scratch scratch_;
 };
 
@@ -182,7 +194,10 @@ class EvidenceBuilder {
 /// `region_offsets_` slices per user.
 class InferenceIndex {
  public:
-  /// Batch build over a row-oriented dataset.
+  /// Batch build over a row-oriented dataset: one EvidenceBuilder fed in
+  /// dataset order, the serial reference the sharded build is compared
+  /// against. A tweet of a user the dataset does not list registers that
+  /// user.
   static InferenceIndex Build(const twitter::Dataset& dataset,
                               const geo::AdminDb& db);
   /// Batch build over a zero-copy v3 corpus view (no materialization),

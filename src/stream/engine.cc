@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <unordered_set>
 #include <utility>
 
@@ -13,10 +14,33 @@ namespace stir::stream {
 
 namespace {
 
-int64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - since)
+using Clock = std::chrono::steady_clock;
+
+int64_t MicrosBetween(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(to - from)
       .count();
+}
+
+/// The one check of a new user's id, shared by AddUser and Append:
+/// `known` says whether the engine (or the batch ahead of it) already
+/// has the id.
+Status CheckNewUser(twitter::UserId id, bool known) {
+  if (id < 0) {
+    return Status::InvalidArgument(
+        StrFormat("user id %lld is negative", static_cast<long long>(id)));
+  }
+  if (known) {
+    return Status::InvalidArgument(
+        StrFormat("user %lld already exists", static_cast<long long>(id)));
+  }
+  return Status::OK();
+}
+
+Status UnknownUser(const twitter::Tweet& tweet) {
+  return Status::InvalidArgument(
+      StrFormat("tweet %lld references unknown user %lld",
+                static_cast<long long>(tweet.id),
+                static_cast<long long>(tweet.user)));
 }
 
 }  // namespace
@@ -32,6 +56,10 @@ StreamEngine::StreamEngine(const geo::AdminDb* db, const StudyConfig& config,
   if (obs::MetricsRegistry* m = config_.obs.metrics; m != nullptr) {
     m_epochs_sealed_ = m->GetCounter("stream.epochs_sealed");
     m_seal_us_ = m->GetCounter("stream.seal_us");
+    m_seal_assemble_us_ = m->GetCounter("stream.seal.assemble_us");
+    m_seal_index_us_ = m->GetCounter("stream.seal.index_us");
+    m_seal_evidence_us_ = m->GetCounter("stream.seal.evidence_us");
+    m_profile_parses_ = m->GetCounter("stream.profile_parses");
     m_retired_ = m->GetCounter("stream.generations_retired");
     m_live_ = m->GetGauge("stream.generations_live");
     m_pending_ = m->GetGauge("stream.pending_tweets");
@@ -154,8 +182,8 @@ void StreamEngine::ReplayStreamJournalLocked(
     options_.epoch_size = saved_epoch_size;
     epochs_sealed_ = markers;
     generation_ = markers;
-    core::StudyResult result = AssembleResultLocked(/*include_refined=*/false);
-    PublishIndexLocked(serve::StudyIndex::Build(result, *db_));
+    AssembleLocked();
+    PublishIndexLocked(serve::StudyIndex::Build(result_, *db_));
     current_infer_index_ = evidence_->Build();
     pending_tweets_ = 0;
     dirty_ = false;
@@ -193,15 +221,10 @@ Status StreamEngine::AddTweet(const twitter::Tweet& tweet,
 }
 
 Status StreamEngine::AddUserLocked(const twitter::User& user, bool journal) {
-  if (user.id < 0) {
-    return Status::InvalidArgument(
-        StrFormat("user id %lld is negative",
-                  static_cast<long long>(user.id)));
-  }
-  if (by_id_.count(user.id) != 0) {
-    return Status::InvalidArgument(
-        StrFormat("user %lld already exists",
-                  static_cast<long long>(user.id)));
+  STIR_RETURN_IF_ERROR(CheckNewUser(user.id, /*known=*/false));
+  const auto row = static_cast<uint32_t>(users_.size());
+  if (!row_of_.try_emplace(user.id, row).second) {
+    return CheckNewUser(user.id, /*known=*/true);
   }
   if (journal && journal_ != nullptr && journal_->is_open()) {
     Status status = journal_->Append(StreamJournal::EncodeUser(user));
@@ -213,26 +236,27 @@ Status StreamEngine::AddUserLocked(const twitter::User& user, bool journal) {
     }
   }
 
-  auto state = std::make_unique<UserState>();
-  state->refined.user = user.id;
-  state->refined.total_tweets = user.total_tweets;
-  // The profile gate runs once at ingest — exactly the parse the batch
-  // funnel performs per user.
-  text::ParsedLocation parsed = parser_.Parse(user.profile_location);
+  // The profile gate runs once at ingest — the parse the batch funnel
+  // performs per user, made once per distinct string.
+  auto [memo, added] = profile_memo_.try_emplace(user.profile_location);
+  if (added) {
+    text::ParsedLocation parsed = parser_.Parse(user.profile_location);
+    memo->second = {parsed.quality, parsed.region};
+    obs::IncrementCounter(m_profile_parses_);
+  }
+  const ProfileParse& parsed = memo->second;
+  const bool well_defined =
+      parsed.quality == text::LocationQuality::kWellDefined;
   ++stats_.quality_counts[static_cast<int>(parsed.quality)];
   ++stats_.crawled_users;
   stats_.total_tweets += user.total_tweets;
-  if (parsed.quality == text::LocationQuality::kWellDefined) {
-    state->well_defined = true;
-    state->refined.profile_region = parsed.region;
-    ++stats_.well_defined_users;
-  }
-  by_id_.emplace(user.id, state.get());
-  states_.push_back(std::move(state));
+  if (well_defined) ++stats_.well_defined_users;
+  users_.push_back(
+      {.total_tweets = user.total_tweets,
+       .profile_region = well_defined ? parsed.region : geo::kInvalidRegion});
   // Evidence registration is blind to the profile parse above: only the
   // id crosses into the inference layer (DESIGN.md §16).
-  evidence_->AddUser(user.id);
-  ++ingested_users_;
+  STIR_CHECK_EQ(evidence_->AddUser(user.id), row);
   obs::IncrementCounter(m_ingested_users_);
   dirty_ = true;
   return Status::OK();
@@ -240,13 +264,9 @@ Status StreamEngine::AddUserLocked(const twitter::User& user, bool journal) {
 
 Status StreamEngine::AddTweetLocked(const twitter::Tweet& tweet,
                                     int64_t fault_key, bool journal) {
-  auto it = by_id_.find(tweet.user);
-  if (it == by_id_.end()) {
-    return Status::InvalidArgument(
-        StrFormat("tweet %lld references unknown user %lld",
-                  static_cast<long long>(tweet.id),
-                  static_cast<long long>(tweet.user)));
-  }
+  auto it = row_of_.find(tweet.user);
+  if (it == row_of_.end()) return UnknownUser(tweet);
+  const uint32_t row = it->second;
   int64_t key = fault_key >= 0 ? fault_key : next_fault_key_;
   next_fault_key_ = std::max(next_fault_key_, key + 1);
   if (journal && journal_ != nullptr && journal_->is_open()) {
@@ -259,29 +279,39 @@ Status StreamEngine::AddTweetLocked(const twitter::Tweet& tweet,
     }
   }
 
-  UserState* state = it->second;
+  UserRow& user = users_[row];
   if (tweet.gps.has_value()) ++stats_.gps_tweets;
-  if (state->well_defined && tweet.gps.has_value()) {
+  if (user.profile_region != geo::kInvalidRegion && tweet.gps.has_value()) {
     // The one fold this tweet ever gets; replays recompute it from the
     // journal with identical inputs, never from cached outputs.
     core::TweetFold fold =
-        pipeline_->FoldTweet(tweet, key, state->refined.profile_region);
-    size_t before = state->refined.tweet_regions.size();
-    core::RefinementPipeline::ApplyFold(fold, &stats_,
-                                        &state->refined.tweet_regions);
-    if (state->refined.tweet_regions.size() > before) {
-      state->dirty = true;
-      if (!state->is_final) {
-        state->is_final = true;
+        pipeline_->FoldTweet(tweet, key, user.profile_region);
+    std::vector<geo::RegionId>* regions = nullptr;
+    if (fold.region != geo::kInvalidRegion) {
+      if (user.final_index == kNotFinal) {
+        // The first geocoded tweet: the user joins the final sample, at
+        // the end of finals_ until the next assemble merges it in.
+        user.final_index = static_cast<uint32_t>(finals_.size());
+        FinalUser& added = finals_.emplace_back();
+        added.row = row;
+        added.refined.user = tweet.user;
+        added.refined.profile_region = user.profile_region;
+        added.refined.total_tweets = user.total_tweets;
         ++stats_.final_users;
       }
+      FinalUser& final_user = finals_[user.final_index];
+      final_user.dirty = true;
+      regions = &final_user.refined.tweet_regions;
     }
+    // ApplyFold appends only a resolved region, so a null `regions` is
+    // never written.
+    core::RefinementPipeline::ApplyFold(fold, &stats_, regions);
   }
   // Inference evidence folds from every tweet (not just GPS tweets of
   // well-defined users), through AdminDb::Locate rather than the
   // fault-injected geocoder — so the evidence never depends on a fault
   // schedule and the fold commutes across any ingest order.
-  evidence_->AddTweet(tweet);
+  evidence_->AddTweet(row, tweet);
   ++ingested_tweets_;
   obs::IncrementCounter(m_ingested_tweets_);
   ++pending_tweets_;
@@ -304,42 +334,33 @@ serve::AppendOutcome StreamEngine::Append(
   // Validate the whole batch before touching any state: a rejected batch
   // is applied not at all.
   std::unordered_set<twitter::UserId> batch_users;
+  Status status;
   for (const twitter::User& user : users) {
-    if (user.id < 0 || by_id_.count(user.id) != 0 ||
-        !batch_users.insert(user.id).second) {
-      outcome.ok = false;
-      outcome.error = StrFormat("user %lld already exists",
-                                static_cast<long long>(user.id));
-      break;
+    status = CheckNewUser(user.id, row_of_.contains(user.id) ||
+                                       !batch_users.insert(user.id).second);
+    if (!status.ok()) break;
+  }
+  for (size_t i = 0; status.ok() && i < tweets.size(); ++i) {
+    if (!row_of_.contains(tweets[i].user) &&
+        !batch_users.contains(tweets[i].user)) {
+      status = UnknownUser(tweets[i]);
     }
   }
-  if (outcome.ok) {
-    for (const twitter::Tweet& tweet : tweets) {
-      if (by_id_.count(tweet.user) == 0 &&
-          batch_users.count(tweet.user) == 0) {
-        outcome.ok = false;
-        outcome.error =
-            StrFormat("tweet %lld references unknown user %lld",
-                      static_cast<long long>(tweet.id),
-                      static_cast<long long>(tweet.user));
-        break;
-      }
-    }
-  }
-  if (!outcome.ok) {
+  if (!status.ok()) {
+    outcome.ok = false;
+    outcome.error = status.message();
     outcome.generation = generation_;
     outcome.pending_tweets = pending_tweets_;
     return outcome;
   }
 
   for (const twitter::User& user : users) {
-    Status status = AddUserLocked(user, /*journal=*/true);
-    STIR_CHECK(status.ok());
+    STIR_CHECK(AddUserLocked(user, /*journal=*/true).ok());
     ++outcome.users_appended;
   }
   for (const twitter::Tweet& tweet : tweets) {
-    Status status = AddTweetLocked(tweet, /*fault_key=*/-1, /*journal=*/true);
-    STIR_CHECK(status.ok());
+    STIR_CHECK(
+        AddTweetLocked(tweet, /*fault_key=*/-1, /*journal=*/true).ok());
     ++outcome.tweets_appended;
   }
   outcome.epochs_sealed = epochs_sealed_ - epochs_before;
@@ -356,13 +377,19 @@ std::shared_ptr<const serve::StudyIndex> StreamEngine::SealEpoch() {
 
 std::shared_ptr<const serve::StudyIndex> StreamEngine::SealEpochLocked() {
   if (!dirty_) return current_index_;
-  std::chrono::steady_clock::time_point seal_t0 =
-      std::chrono::steady_clock::now();
-
-  core::StudyResult result = AssembleResultLocked(/*include_refined=*/false);
+  // Phase timers read the clock only when a registry is attached.
+  const bool timed = m_seal_us_ != nullptr;
+  const auto now = [timed] {
+    return timed ? Clock::now() : Clock::time_point{};
+  };
+  const Clock::time_point seal_t0 = now();
+  AssembleLocked();
+  const Clock::time_point assembled = now();
   std::shared_ptr<const serve::StudyIndex> index =
-      PublishIndexLocked(serve::StudyIndex::Build(result, *db_));
+      PublishIndexLocked(serve::StudyIndex::Build(result_, *db_));
+  const Clock::time_point indexed = now();
   current_infer_index_ = evidence_->Build();
+  const Clock::time_point evidenced = now();
   ++epochs_sealed_;
   generation_ = epochs_sealed_;
   pending_tweets_ = 0;
@@ -383,48 +410,68 @@ std::shared_ptr<const serve::StudyIndex> StreamEngine::SealEpochLocked() {
     }
   }
   obs::IncrementCounter(m_epochs_sealed_);
-  obs::IncrementCounter(m_seal_us_, ElapsedUs(seal_t0));
+  if (timed) {
+    m_seal_assemble_us_->Increment(MicrosBetween(seal_t0, assembled));
+    m_seal_index_us_->Increment(MicrosBetween(assembled, indexed));
+    m_seal_evidence_us_->Increment(MicrosBetween(indexed, evidenced));
+    m_seal_us_->Increment(MicrosBetween(seal_t0, Clock::now()));
+  }
 
   if (scheduler_ != nullptr) {
-    std::chrono::steady_clock::time_point swap_t0 =
-        std::chrono::steady_clock::now();
+    const Clock::time_point swap_t0 = now();
     scheduler_->SwapIndex(index, generation_);
     scheduler_->SwapInferIndex(current_infer_index_);
-    obs::RecordSample(m_swap_us_, ElapsedUs(swap_t0));
+    if (timed) obs::RecordSample(m_swap_us_, MicrosBetween(swap_t0, now()));
   }
   return index;
 }
 
-core::StudyResult StreamEngine::AssembleResultLocked(bool include_refined) {
-  std::vector<UserState*> finals;
-  finals.reserve(states_.size());
-  for (const std::unique_ptr<UserState>& state : states_) {
-    if (state->is_final) finals.push_back(state.get());
+void StreamEngine::AssembleLocked() {
+  std::vector<core::UserGrouping>& groupings = result_.groupings;
+  const size_t merged = groupings.size();
+  if (finals_.size() > merged) {
+    // Merge the users who became final since by arrival row, never in
+    // the order they became final: a backward merge that moves only the
+    // finals arriving after the first of them. Their slots in
+    // `groupings` are stale until the regroup below (they are dirty).
+    std::vector<FinalUser> added(
+        std::make_move_iterator(finals_.begin() +
+                                static_cast<std::ptrdiff_t>(merged)),
+        std::make_move_iterator(finals_.end()));
+    std::sort(added.begin(), added.end(),
+              [](const FinalUser& a, const FinalUser& b) {
+                return a.row < b.row;
+              });
+    groupings.resize(finals_.size());
+    size_t old = merged;
+    for (size_t at = finals_.size(); !added.empty();) {
+      --at;
+      if (old > 0 && finals_[old - 1].row > added.back().row) {
+        --old;
+        finals_[at] = std::move(finals_[old]);
+        groupings[at] = std::move(groupings[old]);
+      } else {
+        finals_[at] = std::move(added.back());
+        added.pop_back();
+      }
+      users_[finals_[at].row].final_index = static_cast<uint32_t>(at);
+    }
   }
   // Delta regrouping: only users whose tweet_regions changed since the
-  // last seal recompute. GroupUser is pure and each result lands in its
-  // own slot, so any thread count produces identical groupings.
-  common::ParallelFor(pool_.get(), finals.size(), [&](size_t i) {
-    UserState* state = finals[i];
-    if (state->dirty) {
-      state->grouping =
-          core::GroupUser(state->refined, *db_, config_.tie_break);
-      state->dirty = false;
+  // last assemble recompute. GroupUser is pure and each result lands in
+  // its own slot, so any thread count produces identical groupings.
+  common::ParallelFor(pool_.get(), finals_.size(), [&](size_t i) {
+    FinalUser& final_user = finals_[i];
+    if (final_user.dirty) {
+      groupings[i] =
+          core::GroupUser(final_user.refined, *db_, config_.tie_break);
+      final_user.dirty = false;
     }
   });
-
-  core::StudyResult result;
-  result.funnel = stats_;
-  result.funnel.fault_injection_enabled =
+  result_.funnel = stats_;
+  result_.funnel.fault_injection_enabled =
       geocoder_->fault_injection_enabled();
-  result.groupings.reserve(finals.size());
-  if (include_refined) result.refined.reserve(finals.size());
-  for (UserState* state : finals) {
-    result.groupings.push_back(state->grouping);
-    if (include_refined) result.refined.push_back(state->refined);
-  }
-  core::AggregateGroups(&result);
-  return result;
+  core::AggregateGroups(&result_);
 }
 
 std::shared_ptr<const serve::StudyIndex> StreamEngine::PublishIndexLocked(
@@ -449,7 +496,13 @@ std::shared_ptr<const serve::StudyIndex> StreamEngine::PublishIndexLocked(
 core::StudyResult StreamEngine::SnapshotResult() {
   STIR_CHECK(opened_);
   std::lock_guard<std::mutex> lock(mu_);
-  return AssembleResultLocked(/*include_refined=*/true);
+  AssembleLocked();
+  core::StudyResult result = result_;
+  result.refined.reserve(finals_.size());
+  for (const FinalUser& final_user : finals_) {
+    result.refined.push_back(final_user.refined);
+  }
+  return result;
 }
 
 std::shared_ptr<const serve::StudyIndex> StreamEngine::CurrentIndex() const {
@@ -480,7 +533,7 @@ int64_t StreamEngine::pending_tweets() const {
 
 int64_t StreamEngine::ingested_users() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ingested_users_;
+  return static_cast<int64_t>(users_.size());
 }
 
 int64_t StreamEngine::ingested_tweets() const {
@@ -490,7 +543,7 @@ int64_t StreamEngine::ingested_tweets() const {
 
 bool StreamEngine::HasUser(twitter::UserId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return by_id_.count(id) != 0;
+  return row_of_.contains(id);
 }
 
 }  // namespace stir::stream

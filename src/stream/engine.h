@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -141,14 +142,31 @@ class StreamEngine : public serve::StreamBackend {
   bool HasUser(twitter::UserId id) const;
 
  private:
-  /// Mutable per-user study state: the fold target plus the cached
-  /// grouping (recomputed lazily at seal when `dirty`).
-  struct UserState {
+  static constexpr uint32_t kNotFinal = 0xFFFFFFFFu;
+
+  /// One ingested user, in arrival order. A user's row is also its
+  /// evidence slot.
+  struct UserRow {
+    int64_t total_tweets = 0;
+    /// The parsed profile district when the profile is well defined (a
+    /// well-defined parse always names one), else kInvalidRegion.
+    geo::RegionId profile_region = geo::kInvalidRegion;
+    /// Index into finals_ once a tweet geocodes (kNotFinal until then).
+    uint32_t final_index = kNotFinal;
+  };
+
+  /// A user in the final sample (>= 1 geocoded tweet, counted in the
+  /// funnel): the fold target. Only final users carry tweet regions.
+  struct FinalUser {
+    uint32_t row = 0;    ///< Arrival row in users_.
+    bool dirty = true;   ///< Its grouping in result_ is stale.
     core::RefinedUser refined;
-    bool well_defined = false;
-    bool is_final = false;  ///< >= 1 geocoded tweet (counted in funnel).
-    bool dirty = false;     ///< Grouping cache stale.
-    core::UserGrouping grouping;
+  };
+
+  /// What the profile gate needs of a parse.
+  struct ProfileParse {
+    text::LocationQuality quality = text::LocationQuality::kEmpty;
+    geo::RegionId region = geo::kInvalidRegion;
   };
 
   Status AddUserLocked(const twitter::User& user, bool journal);
@@ -156,11 +174,10 @@ class StreamEngine : public serve::StreamBackend {
                         bool journal);
   /// Seal body; returns the built (or unchanged) generation.
   std::shared_ptr<const serve::StudyIndex> SealEpochLocked();
-  /// Recomputes stale groupings (in parallel when configured) and
-  /// assembles the StudyResult in user arrival order. `include_refined`
-  /// additionally copies the per-user RefinedUser rows (the CLI report
-  /// needs them; index builds do not).
-  core::StudyResult AssembleResultLocked(bool include_refined);
+  /// Brings result_ up to date with everything ingested: merges the users
+  /// who became final since into the arrival-ordered list, regroups the
+  /// dirty ones (in parallel when configured), and re-aggregates.
+  void AssembleLocked();
   /// Wraps a built index in the retirement-counting shared_ptr and makes
   /// it the live generation (no seal bookkeeping — shared by SealEpoch
   /// and resume).
@@ -181,8 +198,18 @@ class StreamEngine : public serve::StreamBackend {
   bool opened_ = false;
 
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<UserState>> states_;  ///< Arrival order.
-  std::unordered_map<twitter::UserId, UserState*> by_id_;
+  std::vector<UserRow> users_;  ///< Arrival order.
+  std::unordered_map<twitter::UserId, uint32_t> row_of_;
+  /// Profile gate memo, keyed by the exact profile bytes: each distinct
+  /// string is parsed once (parsing is pure).
+  std::unordered_map<std::string, ProfileParse> profile_memo_;
+  /// Final users: the first result_.groupings.size() in arrival order,
+  /// each beside its grouping; then those that became final since, in
+  /// the order they did, until AssembleLocked merges them in.
+  std::vector<FinalUser> finals_;
+  /// The study result over finals_, kept across seals (groupings only;
+  /// SnapshotResult adds the refined rows to its copy).
+  core::StudyResult result_;
   core::FunnelStats stats_;
   /// Inference evidence accumulator, fed by the same ingest path as the
   /// study state (guarded by mu_ like everything else here).
@@ -194,7 +221,6 @@ class StreamEngine : public serve::StreamBackend {
   int64_t epochs_sealed_ = 0;
   int64_t pending_tweets_ = 0;
   bool dirty_ = false;  ///< Any ingest since the last seal.
-  int64_t ingested_users_ = 0;
   int64_t ingested_tweets_ = 0;
   int64_t next_fault_key_ = 0;
   bool journal_append_failed_ = false;
@@ -204,6 +230,10 @@ class StreamEngine : public serve::StreamBackend {
   // so the registry must outlive every pinned generation.
   obs::Counter* m_epochs_sealed_ = nullptr;
   obs::Counter* m_seal_us_ = nullptr;
+  obs::Counter* m_seal_assemble_us_ = nullptr;
+  obs::Counter* m_seal_index_us_ = nullptr;
+  obs::Counter* m_seal_evidence_us_ = nullptr;
+  obs::Counter* m_profile_parses_ = nullptr;
   obs::Counter* m_retired_ = nullptr;
   obs::Gauge* m_live_ = nullptr;
   obs::Gauge* m_pending_ = nullptr;

@@ -223,6 +223,7 @@ TEST(InferStrategyTest, NightWindowIsSharedWithTheGenerator) {
 TEST(EvidenceBuilderTest, CountsNightGpsTweetsViaTheSharedWindow) {
   const AdminDb& db = AdminDb::KoreanDistricts();
   EvidenceBuilder builder(&db);
+  const uint32_t slot = builder.AddUser(42);
   const geo::Region& region = db.regions()[0];
 
   twitter::Tweet noon;
@@ -230,12 +231,12 @@ TEST(EvidenceBuilderTest, CountsNightGpsTweetsViaTheSharedWindow) {
   noon.user = 42;
   noon.time = 12 * kSecondsPerHour;
   noon.gps = region.centroid;
-  builder.AddTweet(noon);
+  builder.AddTweet(slot, noon);
 
   twitter::Tweet night = noon;
   night.id = 2;
   night.time = 23 * kSecondsPerHour;
-  builder.AddTweet(night);
+  builder.AddTweet(slot, night);
 
   std::shared_ptr<const InferenceIndex> index = builder.Build();
   const std::optional<UserEvidenceView> evidence = index->FindUser(42);
@@ -269,7 +270,7 @@ TEST(EvidenceBuilderTest, UnambiguousDistrictMentionsBecomeTextVotes) {
   tweet.user = 9;
   tweet.time = 10 * kSecondsPerHour;
   tweet.text = "having lunch in " + unique_region->county + " today";
-  builder.AddTweet(tweet);
+  builder.AddTweet(builder.AddUser(9), tweet);
 
   std::shared_ptr<const InferenceIndex> index = builder.Build();
   const std::optional<UserEvidenceView> evidence = index->FindUser(9);
@@ -454,17 +455,16 @@ TEST(EvidenceOracleTest, ShuffledArrivalsWithBuildsBetweenMatchTheBatchBuild) {
   // Users arrive in shuffled id order, a quarter between each Build();
   // every snapshot equals the batch build over the users seen so far.
   EvidenceBuilder builder(&db);
-  std::map<twitter::UserId, bool> seen;
+  std::map<twitter::UserId, uint32_t> seen;  // id -> slot
   const size_t quarter = arrival.size() / 4 + 1;
   for (size_t begin = 0; begin < arrival.size(); begin += quarter) {
     const size_t end = std::min(arrival.size(), begin + quarter);
     for (size_t i = begin; i < end; ++i) {
-      builder.AddUser(arrival[i]);
-      seen[arrival[i]] = true;
+      seen[arrival[i]] = builder.AddUser(arrival[i]);
     }
     for (size_t i = begin; i < end; ++i) {
       for (const twitter::Tweet* tweet : tweets_of[arrival[i]]) {
-        builder.AddTweet(*tweet);
+        builder.AddTweet(seen[arrival[i]], *tweet);
       }
     }
     twitter::Dataset prefix;
@@ -623,11 +623,12 @@ TEST_F(InferCorpusTest, EvidenceIsIdenticalAcrossAllThreeCorpusFormats) {
 TEST_F(InferCorpusTest, ShardedViewBuildsEqualTheSerialBuilderOnAnyPool) {
   // The reference: one EvidenceBuilder fed every tweet in dataset order.
   EvidenceBuilder serial(db_);
+  std::map<twitter::UserId, uint32_t> slot_of;
   for (const twitter::User& user : data_->dataset.users()) {
-    serial.AddUser(user.id);
+    slot_of[user.id] = serial.AddUser(user.id);
   }
   for (const twitter::Tweet& tweet : data_->dataset.tweets()) {
-    serial.AddTweet(tweet);
+    serial.AddTweet(slot_of.at(tweet.user), tweet);
   }
   const std::string want = Fingerprint(*serial.Build());
 
@@ -733,8 +734,8 @@ TEST(ShardedBuildTest, RepeatedUserIdFoldsIntoOneSlot) {
     dataset.AddUser(user);
   }
   EvidenceBuilder serial(&db);
-  serial.AddUser(first);
-  serial.AddUser(middle);
+  const uint32_t first_slot = serial.AddUser(first);
+  const uint32_t middle_slot = serial.AddUser(middle);
   const twitter::UserId row_ids[] = {first, middle, third};
   for (int i = 0; i < 9; ++i) {
     const twitter::UserId row_id = row_ids[i % 3];
@@ -746,7 +747,7 @@ TEST(ShardedBuildTest, RepeatedUserIdFoldsIntoOneSlot) {
     tweet.text = i % 4 == 2 ? "lunch in Mapo-gu" : "hello";
     dataset.AddTweet(tweet);
     tweet.user = row_id == third ? first : row_id;
-    serial.AddTweet(tweet);
+    serial.AddTweet(row_id == middle ? middle_slot : first_slot, tweet);
   }
   const std::string want = Fingerprint(*serial.Build());
 

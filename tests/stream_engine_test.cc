@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -218,6 +219,26 @@ TEST_F(StreamEngineTest, AppendIsAtomic) {
   EXPECT_EQ(outcome.tweets_appended, 2);
   EXPECT_EQ(outcome.pending_tweets, 2);
   EXPECT_EQ(outcome.epochs_sealed, 0);
+
+  // A negative id poisons the batch too, with AddUser's own message.
+  std::vector<twitter::User> negative(2);
+  negative[0].id = 11;
+  negative[1].id = -3;
+  std::vector<twitter::Tweet> negative_tweets(1);
+  negative_tweets[0].id = 102;
+  negative_tweets[0].user = 11;
+  outcome = engine.Append(negative, negative_tweets);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.users_appended, 0);
+  EXPECT_EQ(outcome.tweets_appended, 0);
+  EXPECT_FALSE(engine.HasUser(11));
+  EXPECT_EQ(engine.ingested_users(), 1);
+  EXPECT_EQ(engine.ingested_tweets(), 2);
+  const Status direct = engine.AddUser(negative[1]);
+  EXPECT_FALSE(direct.ok());
+  EXPECT_EQ(outcome.error, direct.message());
+  EXPECT_NE(outcome.error.find("user id -3 is negative"), std::string::npos)
+      << outcome.error;
 }
 
 TEST_F(StreamEngineTest, AutoSealCountsEveryTweetAgainstTheEpoch) {
@@ -261,6 +282,34 @@ TEST_F(StreamEngineTest, ExportsStreamMetrics) {
   // Engine destruction drops the last pin: everything retires.
   EXPECT_EQ(metrics.GetGauge("stream.generations_live")->value(), 0);
   EXPECT_EQ(metrics.GetCounter("stream.generations_retired")->value(), 4);
+
+  // Over the whole fixture: each distinct profile string is parsed once,
+  // and the seal phases are timed inside stream.seal_us.
+  obs::MetricsRegistry phases;
+  config.obs.metrics = &phases;
+  StreamEngine engine(db_, config, options);
+  ASSERT_TRUE(engine.Open().ok());
+  AddAllUsers(&engine);
+  std::set<std::string> profiles;
+  for (const twitter::User& user : data_->dataset.users()) {
+    profiles.insert(user.profile_location);
+  }
+  EXPECT_LT(profiles.size(), data_->dataset.users().size());
+  EXPECT_EQ(phases.GetCounter("stream.profile_parses")->value(),
+            static_cast<int64_t>(profiles.size()));
+  AddTweetRange(&engine, 0, data_->dataset.tweets().size());
+  engine.SealEpoch();
+  int64_t phase_sum = 0;
+  for (const char* phase :
+       {"stream.seal.assemble_us", "stream.seal.index_us",
+        "stream.seal.evidence_us"}) {
+    const int64_t us = phases.GetCounter(phase)->value();
+    EXPECT_GT(us, 0) << phase;
+    phase_sum += us;
+  }
+  EXPECT_LE(phase_sum, phases.GetCounter("stream.seal_us")->value());
+  EXPECT_EQ(phases.GetCounter("stream.profile_parses")->value(),
+            static_cast<int64_t>(profiles.size()));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,25 +3,32 @@
 // epoch partition of the same tweet log and ANY thread count, the final
 // streamed index answers every index-served protocol method
 // byte-identically to the index the one-shot batch study builds. Also
-// covers fault-injected equivalence, RCU snapshot consistency for
+// covers users arriving between tweets (every generation checked
+// against the batch study and evidence build over its prefix),
+// fault-injected equivalence, RCU snapshot consistency for
 // generation-pinned readers during swaps, and a concurrent
 // appender/querier hammer (a TSan target — build with
 // -DSTIR_SANITIZE=thread).
 
 #include "stream/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <future>
+#include <map>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/study.h"
 #include "core/study_config.h"
 #include "geo/admin_db.h"
 #include "gtest/gtest.h"
+#include "infer/inference_index.h"
 #include "obs/json.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -259,6 +266,314 @@ TEST_F(StreamEquivalenceTest, FaultScheduleMatchesBatch) {
     EXPECT_EQ(index->funnel().geocode_retried,
               batch_faulty.funnel().geocode_retried)
         << label;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Users arriving between tweets
+
+/// Every field of every evidence row, in row order.
+std::string EvidenceFingerprint(const infer::InferenceIndex& index) {
+  std::ostringstream out;
+  for (const infer::UserEvidenceView& user : index.users()) {
+    out << 'u' << user.user << ':' << user.tweets << ',' << user.gps_tweets
+        << ',' << user.text_votes << '[';
+    for (const infer::RegionEvidence& region : user.regions) {
+      out << region.region << ':' << region.gps_tweets << ','
+          << region.night_gps_tweets << ',' << region.text_votes << ';';
+    }
+    out << "]\n";
+  }
+  return out.str();
+}
+
+/// A grouping and its refined row, rendered whole.
+std::string GroupingRow(const core::UserGrouping& grouping) {
+  std::string row = std::to_string(grouping.user) + ' ' +
+                    core::TopKGroupToString(grouping.group) + ' ' +
+                    std::to_string(grouping.match_rank) + ' ' +
+                    std::to_string(grouping.gps_tweet_count) + ' ' +
+                    std::to_string(grouping.matched_tweet_count);
+  for (const core::MergedLocationString& merged : grouping.ordered) {
+    row += " | " + merged.ToString();
+  }
+  return row;
+}
+std::string RefinedRow(const core::RefinedUser& refined) {
+  std::string row = std::to_string(refined.user) + ' ' +
+                    std::to_string(refined.profile_region) + ' ' +
+                    std::to_string(refined.total_tweets) + ':';
+  for (geo::RegionId region : refined.tweet_regions) {
+    row += ' ' + std::to_string(region);
+  }
+  return row;
+}
+
+/// One ingest call of an interleaved log.
+struct Step {
+  enum class Kind { kUser, kTweet, kAppend, kSeal };
+  Kind kind = Kind::kSeal;
+  std::vector<size_t> users;   ///< Dataset user rows (kUser, kAppend).
+  std::vector<size_t> tweets;  ///< Dataset tweet rows (kTweet, kAppend).
+};
+
+/// An interleaved log over a slice of the fixture: 16 users the batch
+/// study keeps, 16 it does not whose tweets are in the log, and 8 users
+/// that never tweet (their tweets are left out); at most 6 tweets a user.
+/// Users arrive in `arrival` order, each between tweets: after an
+/// arrival, a seeded number of the tweets already released follow. A
+/// third of the kept users hold their tweets back until every user has
+/// arrived, so they turn final several seals after they arrive (their
+/// rows come back in `held_users`). Every fifth arrival brings the next
+/// user along in one Append with up to two released tweets, possibly
+/// their own. A manual seal follows a step with probability 1/5.
+std::vector<Step> InterleavedLog(const twitter::Dataset& dataset,
+                                 const serve::StudyIndex& batch,
+                                 bool descending_ids, uint64_t seed,
+                                 std::vector<size_t>* held_users) {
+  const std::vector<twitter::User>& users = dataset.users();
+  std::vector<size_t> kept, dropped, silent;
+  for (size_t row = 0; row < users.size(); ++row) {
+    const bool tweets = !dataset.TweetIndicesOf(users[row].id).empty();
+    if (batch.FindUser(users[row].id) != nullptr) {
+      if (kept.size() < 16) kept.push_back(row);
+    } else if (tweets && dropped.size() < 16) {
+      dropped.push_back(row);
+    } else if (silent.size() < 8) {
+      silent.push_back(row);
+    }
+  }
+  std::vector<size_t> arrival = kept;
+  arrival.insert(arrival.end(), dropped.begin(), dropped.end());
+  arrival.insert(arrival.end(), silent.begin(), silent.end());
+  std::mt19937_64 rng(seed);
+  if (descending_ids) {
+    std::sort(arrival.begin(), arrival.end(), [&](size_t a, size_t b) {
+      return users[a].id > users[b].id;
+    });
+  } else {
+    std::shuffle(arrival.begin(), arrival.end(), rng);
+  }
+  held_users->clear();
+  for (size_t i = 0; i < kept.size(); i += 3) held_users->push_back(kept[i]);
+
+  std::vector<Step> log;
+  std::vector<size_t> released, held;
+  const auto take = [&](size_t n) {
+    std::vector<size_t> taken;
+    while (taken.size() < n && !released.empty()) {
+      const size_t at = rng() % released.size();
+      taken.push_back(released[at]);
+      released.erase(released.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    return taken;
+  };
+  const auto maybe_seal = [&] {
+    if (rng() % 5 == 0) log.push_back({Step::Kind::kSeal, {}, {}});
+  };
+  const auto arrive = [&](size_t row) {
+    if (std::find(silent.begin(), silent.end(), row) != silent.end()) return;
+    const std::vector<size_t>& own = dataset.TweetIndicesOf(users[row].id);
+    const bool holds = std::find(held_users->begin(), held_users->end(),
+                                 row) != held_users->end();
+    for (size_t i = 0; i < own.size() && i < 6; ++i) {
+      (holds ? held : released).push_back(own[i]);
+    }
+  };
+  for (size_t i = 0; i < arrival.size(); ++i) {
+    if (i % 5 == 4 && i + 1 < arrival.size()) {
+      arrive(arrival[i]);
+      arrive(arrival[i + 1]);
+      log.push_back({Step::Kind::kAppend, {arrival[i], arrival[i + 1]},
+                     take(rng() % 3)});
+      ++i;
+    } else {
+      arrive(arrival[i]);
+      log.push_back({Step::Kind::kUser, {arrival[i]}, {}});
+    }
+    maybe_seal();
+    for (size_t n = rng() % 4; n > 0 && !released.empty(); --n) {
+      log.push_back({Step::Kind::kTweet, {}, take(1)});
+      maybe_seal();
+    }
+  }
+  released.insert(released.end(), held.begin(), held.end());
+  while (!released.empty()) {
+    log.push_back({Step::Kind::kTweet, {}, take(1)});
+    maybe_seal();
+  }
+  log.push_back({Step::Kind::kSeal, {}, {}});
+  return log;
+}
+
+TEST_F(StreamEquivalenceTest, InterleavedArrivalsMatchBatchAtEverySeal) {
+  const std::vector<twitter::User>& users = data_->dataset.users();
+  const std::vector<twitter::Tweet>& tweets = data_->dataset.tweets();
+  const core::CorrelationStudy study(db_);
+
+  for (const bool descending : {true, false}) {
+    std::vector<size_t> held_users;
+    const std::vector<Step> log =
+        InterleavedLog(data_->dataset, *batch_index_, descending,
+                       /*seed=*/descending ? 5 : 11, &held_users);
+    // The ingest order the log implies (Append applies users first):
+    // every sealed generation covers a prefix of each.
+    std::vector<size_t> arrival, tweet_log;
+    for (const Step& step : log) {
+      arrival.insert(arrival.end(), step.users.begin(), step.users.end());
+      tweet_log.insert(tweet_log.end(), step.tweets.begin(),
+                       step.tweets.end());
+    }
+
+    // The batch study and evidence build over the first `u` arrivals and
+    // the first `t` tweets, memoized across the engine configurations.
+    struct Expected {
+      core::StudyResult result;
+      size_t users = 0;
+      size_t districts = 0;
+      std::vector<serve::Request> requests;
+      std::vector<std::string> answers;
+      std::string evidence;
+    };
+    std::map<std::pair<size_t, size_t>, Expected> expected;
+    const auto batch_over = [&](size_t u, size_t t) -> const Expected& {
+      auto [it, added] = expected.try_emplace({u, t});
+      if (!added) return it->second;
+      twitter::Dataset prefix;
+      for (size_t i = 0; i < u; ++i) prefix.AddUser(users[arrival[i]]);
+      for (size_t i = 0; i < t; ++i) prefix.AddTweet(tweets[tweet_log[i]]);
+      Expected& want = it->second;
+      want.result = study.Run(prefix);
+      const serve::StudyIndex index =
+          serve::StudyIndex::Build(want.result, *db_);
+      want.users = index.user_count();
+      want.districts = index.districts().size();
+      want.requests = ProtocolRequests(index);
+      for (const serve::Request& request : want.requests) {
+        want.answers.push_back(serve::ExecuteOnIndex(index, request));
+      }
+      want.evidence =
+          EvidenceFingerprint(infer::InferenceIndex::Build(prefix, *db_));
+      return want;
+    };
+
+    for (const int64_t epoch_size : {1, 7, 0}) {
+      for (const int threads : {1, 2, 8}) {
+        const std::string label =
+            std::string(descending ? "descending" : "random") +
+            " ids, epoch_size=" + std::to_string(epoch_size) +
+            " threads=" + std::to_string(threads);
+        StudyConfig config;
+        config.threads = threads;
+        StreamOptions options;
+        options.epoch_size = epoch_size;
+        StreamEngine engine(db_, config, options);
+        ASSERT_TRUE(engine.Open().ok()) << label;
+
+        size_t users_in = 0;
+        size_t tweets_in = 0;
+        int64_t seals_checked = 0;
+        std::map<twitter::UserId, int64_t> sealed_at_arrival;
+        int64_t longest_wait = 0;  // Seals from a held user's arrival
+                                   // to its first tweet.
+        for (const Step& step : log) {
+          const int64_t sealed_before = engine.epochs_sealed();
+          size_t sealed_tweets = tweets_in + step.tweets.size();
+          for (size_t row : step.users) {
+            sealed_at_arrival[users[row].id] = sealed_before;
+          }
+          for (size_t row : step.tweets) {
+            const twitter::UserId user = tweets[row].user;
+            for (size_t held : held_users) {
+              if (users[held].id != user) continue;
+              longest_wait = std::max(
+                  longest_wait, sealed_before - sealed_at_arrival[user]);
+            }
+          }
+          switch (step.kind) {
+            case Step::Kind::kUser:
+              ASSERT_TRUE(engine.AddUser(users[step.users[0]]).ok()) << label;
+              break;
+            case Step::Kind::kTweet:
+              ASSERT_TRUE(engine
+                              .AddTweet(tweets[step.tweets[0]],
+                                        static_cast<int64_t>(tweets_in))
+                              .ok())
+                  << label;
+              break;
+            case Step::Kind::kAppend: {
+              std::vector<twitter::User> batch_users;
+              std::vector<twitter::Tweet> batch_tweets;
+              for (size_t row : step.users) batch_users.push_back(users[row]);
+              for (size_t row : step.tweets) {
+                batch_tweets.push_back(tweets[row]);
+              }
+              const serve::AppendOutcome outcome =
+                  engine.Append(batch_users, batch_tweets);
+              ASSERT_TRUE(outcome.ok) << label << ": " << outcome.error;
+              // An auto-seal inside the batch covers its users and the
+              // tweets before the pending tail.
+              sealed_tweets -= static_cast<size_t>(outcome.pending_tweets);
+              break;
+            }
+            case Step::Kind::kSeal:
+              engine.SealEpoch();
+              break;
+          }
+          users_in += step.users.size();
+          tweets_in += step.tweets.size();
+          if (engine.epochs_sealed() == sealed_before) continue;
+
+          ++seals_checked;
+          const Expected& want = batch_over(users_in, sealed_tweets);
+          const std::string at = label + ", " + std::to_string(users_in) +
+                                 " users, " + std::to_string(sealed_tweets) +
+                                 " tweets";
+          std::shared_ptr<const serve::StudyIndex> index =
+              engine.CurrentIndex();
+          ASSERT_EQ(index->user_count(), want.users) << at;
+          ASSERT_EQ(index->districts().size(), want.districts) << at;
+          for (size_t i = 0; i < want.requests.size(); ++i) {
+            ASSERT_EQ(serve::ExecuteOnIndex(*index, want.requests[i]),
+                      want.answers[i])
+                << at << ", request " << i;
+          }
+          ASSERT_EQ(EvidenceFingerprint(*engine.CurrentInferIndex()),
+                    want.evidence)
+              << at;
+        }
+        EXPECT_EQ(engine.pending_tweets(), 0) << label;
+        EXPECT_GE(seals_checked, 10) << label;
+        EXPECT_GE(longest_wait, 2) << label;
+
+        // The report path: every grouping and refined row, in order.
+        const Expected& want = batch_over(arrival.size(), tweet_log.size());
+        ASSERT_FALSE(want.result.groupings.empty()) << label;
+        const core::StudyResult snapshot = engine.SnapshotResult();
+        std::vector<std::string> got_rows, want_rows;
+        for (const core::UserGrouping& grouping : snapshot.groupings) {
+          got_rows.push_back(GroupingRow(grouping));
+        }
+        for (const core::UserGrouping& grouping : want.result.groupings) {
+          want_rows.push_back(GroupingRow(grouping));
+        }
+        EXPECT_EQ(got_rows, want_rows) << label;
+        got_rows.clear();
+        want_rows.clear();
+        for (const core::RefinedUser& refined : snapshot.refined) {
+          got_rows.push_back(RefinedRow(refined));
+        }
+        for (const core::RefinedUser& refined : want.result.refined) {
+          want_rows.push_back(RefinedRow(refined));
+        }
+        EXPECT_EQ(got_rows, want_rows) << label;
+        EXPECT_EQ(snapshot.GroupTableString(),
+                  want.result.GroupTableString())
+            << label;
+        EXPECT_EQ(snapshot.FunnelString(), want.result.FunnelString())
+            << label;
+      }
+    }
   }
 }
 
