@@ -152,7 +152,29 @@ void BM_DatasetGeneration(benchmark::State& state) {
         static_cast<double>(data.dataset.users().size());
   }
 }
-BENCHMARK(BM_DatasetGeneration)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DatasetGeneration)
+    ->Arg(10)
+    ->Arg(50)
+    ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+
+/// The follower graph alone, at the populations the Korean preset crawls
+/// at scale 1 (83,520 nodes) and scale 4 (334,080).
+void BM_SocialGraph(benchmark::State& state) {
+  twitter::SocialGraphOptions options;
+  options.num_users = state.range(0);
+  for (auto _ : state) {
+    Rng rng(1);
+    twitter::SocialGraph graph = twitter::SocialGraph::Generate(options, rng);
+    state.counters["edges"] = static_cast<double>(graph.num_edges());
+    state.counters["graph_bytes"] =
+        static_cast<double>(graph.memory_bytes());
+  }
+}
+BENCHMARK(BM_SocialGraph)
+    ->Arg(83520)
+    ->Arg(334080)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullStudy(benchmark::State& state) {
   const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();

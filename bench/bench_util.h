@@ -10,7 +10,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/study.h"
@@ -90,8 +93,69 @@ struct BenchJsonEntry {
   std::vector<std::pair<std::string, double>> accuracy;
 };
 
-/// Writes `{"benchmarks":[{"name":...,"iterations":...,"ns_per_op":...,
-/// "accuracy":{...}?}],
+#ifndef STIR_BENCH_BUILD_TYPE
+#define STIR_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef STIR_BENCH_CXX_FLAGS
+#define STIR_BENCH_CXX_FLAGS ""
+#endif
+
+/// The first "model name" line of /proc/cpuinfo.
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t value = line.find_first_not_of(" \t:", line.find(':'));
+    return value == std::string::npos ? "" : line.substr(value);
+  }
+  return "unknown";
+}
+
+/// The commit of the checkout the bench runs in (with "-dirty" when the
+/// tree has uncommitted changes), or "none" outside a checkout.
+inline std::string GitSha() {
+  std::FILE* pipe =
+      ::popen("git describe --always --dirty --abbrev=40 2>/dev/null", "r");
+  if (pipe == nullptr) return "none";
+  char buf[128] = {};
+  std::string sha = std::fgets(buf, sizeof(buf), pipe) ? buf : "";
+  ::pclose(pipe);
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == ' ')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "none" : sha;
+}
+
+/// Writes the `"host"` object: what machine, compiler, build and commit
+/// produced the numbers beside it.
+inline void WriteHost(obs::JsonWriter& w) {
+  const std::time_t now = std::time(nullptr);
+  std::tm tm{};
+  gmtime_r(&now, &tm);
+  char date[32];
+  std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%SZ", &tm);
+  w.Key("host");
+  w.BeginObject();
+  w.Key("nproc");
+  w.Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
+  w.Key("cpu_model");
+  w.String(CpuModel());
+  w.Key("compiler");
+  w.String("g++ " __VERSION__);
+  w.Key("build_type");
+  w.String(STIR_BENCH_BUILD_TYPE);
+  w.Key("cxx_flags");
+  w.String(STIR_BENCH_CXX_FLAGS);
+  w.Key("git_sha");
+  w.String(GitSha());
+  w.Key("date_utc");
+  w.String(date);
+  w.EndObject();
+}
+
+/// Writes `{"host":{...},"benchmarks":[{"name":...,"iterations":...,
+/// "ns_per_op":...,"accuracy":{...}?}],
 /// "process":{"peak_rss_bytes":...,"mapped_bytes_peak":...}}` to `path`.
 /// `mapped_bytes_peak` is the caller's high-water mark of mmapped corpus
 /// bytes (CorpusView::bytes_mapped; 0 for benches that never map one).
@@ -102,6 +166,7 @@ inline bool WriteBenchJson(const std::string& path,
                            int64_t mapped_bytes_peak = 0) {
   obs::JsonWriter w;
   w.BeginObject();
+  WriteHost(w);
   w.Key("benchmarks");
   w.BeginArray();
   for (const BenchJsonEntry& entry : entries) {

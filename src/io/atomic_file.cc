@@ -25,8 +25,8 @@ Status Errno(const char* op, const std::string& path) {
 /// durable (POSIX: a crashed rename without the directory sync may
 /// resurface the old name).
 Status SyncParentDir(const std::string& path) {
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  const auto parent = std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? std::string(".") : parent.string();
   int fd = ::open(dir.c_str(), O_RDONLY);
   if (fd < 0) return Errno("open(dir)", dir);
   int rc = ::fsync(fd);

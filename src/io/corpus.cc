@@ -205,9 +205,17 @@ Status CorpusWriter::AddUser(const twitter::User& user) {
     return Status::InvalidArgument("duplicate user id " +
                                    std::to_string(user.id));
   }
+  std::optional<uint32_t> handle = arena_.Intern(user.handle);
+  std::optional<uint32_t> profile =
+      handle ? arena_.Intern(user.profile_location) : std::nullopt;
+  if (!profile) {
+    user_rows_.erase(it);
+    return Status::ResourceExhausted(
+        "corpus string arena full (2^32-1 strings)");
+  }
   user_ids_.push_back(user.id);
-  user_handle_refs_.push_back(arena_.Intern(user.handle));
-  user_profile_refs_.push_back(arena_.Intern(user.profile_location));
+  user_handle_refs_.push_back(*handle);
+  user_profile_refs_.push_back(*profile);
   user_total_tweets_.push_back(user.total_tweets);
   user_tweet_counts_.push_back(0);
   return Status::OK();

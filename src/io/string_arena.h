@@ -1,10 +1,12 @@
 #ifndef STIR_IO_STRING_ARENA_H_
 #define STIR_IO_STRING_ARENA_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace stir::io {
@@ -15,18 +17,23 @@ namespace stir::io {
 /// 32-bit id. Interning happens once at ingest; every later pipeline
 /// stage passes ids around and resolves them against the frozen arena
 /// (the blob + offset table persisted as two corpus sections) without
-/// re-hashing.
+/// re-hashing. Lookups go through one open-addressing table of ids
+/// keyed by blob slices, so a string's bytes live only in the blob.
 ///
 /// Id 0 is always the empty string, so zero-initialized columns are
 /// valid references.
 class StringArena {
  public:
+  /// Ids are 32-bit: at most 2^32-1 distinct strings (ids 0..2^32-2).
+  static constexpr size_t kMaxStrings = std::numeric_limits<uint32_t>::max();
+
   StringArena();
 
-  /// Returns the id for `s`, adding it on first sight. Ids are assigned
-  /// densely in first-intern order, which makes arena contents a pure
-  /// function of the ingest sequence (deterministic corpora).
-  uint32_t Intern(std::string_view s);
+  /// Returns the id for `s`, adding it on first sight; nullopt when `s`
+  /// is new and the arena already holds kMaxStrings strings. Ids are
+  /// assigned densely in first-intern order, which makes arena contents
+  /// a pure function of the ingest sequence (deterministic corpora).
+  std::optional<uint32_t> Intern(std::string_view s);
 
   /// The string for a previously returned id.
   std::string_view At(uint32_t id) const {
@@ -46,9 +53,21 @@ class StringArena {
   const std::vector<uint64_t>& offsets() const { return offsets_; }
 
  private:
+  static constexpr uint32_t kNoId = std::numeric_limits<uint32_t>::max();
+
+  /// A table entry: the id of a string and the low bits of its hash
+  /// (a cheap mismatch test, and the key a rehash places it by).
+  struct Slot {
+    uint32_t id = kNoId;
+    uint32_t hash = 0;
+  };
+
+  /// Puts `id` in the first free slot of its probe sequence.
+  void Place(uint32_t hash, uint32_t id);
+
   std::string blob_;
   std::vector<uint64_t> offsets_;  // size()+1, offsets_[0] == 0
-  std::unordered_map<std::string, uint32_t> ids_;
+  std::vector<Slot> slots_;        // power of two, at most half full
 };
 
 }  // namespace stir::io

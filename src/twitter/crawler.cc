@@ -1,6 +1,7 @@
 #include "twitter/crawler.h"
 
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -49,7 +50,7 @@ StatusOr<CrawlResult> Crawler::Crawl(UserId seed) const {
   while (!frontier.empty() && !target_reached) {
     UserId current = frontier.front();
     frontier.pop_front();
-    const std::vector<UserId>& followers = graph_->Followers(current);
+    const std::span<const uint32_t> followers = graph_->Followers(current);
     // Paged listing: one request per page_size followers (minimum one to
     // learn the list is empty).
     int64_t pages =

@@ -72,7 +72,7 @@ Status DatasetGenerator::Synthesize(UserSink&& on_user, TweetSink&& on_tweet,
     Crawler crawler(&graph, crawl_options);
     auto crawl = crawler.Crawl(graph.MostFollowedUser());
     STIR_CHECK(crawl.ok()) << crawl.status().ToString();
-    user_ids = crawl->users;
+    user_ids = std::move(crawl->users);
     info->crawl_requests = crawl->requests_issued;
     info->crawl_elapsed_seconds = crawl->elapsed_seconds;
     // A sparse graph component can run out before the target; top up with

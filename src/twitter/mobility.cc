@@ -34,13 +34,25 @@ MobilityModel::MobilityModel(const geo::AdminDb* db,
   for (const geo::Region& region : db_->regions()) {
     home_weights_.push_back(std::pow(region.radius_km, 1.2));
   }
+  for (double w : home_weights_) home_weight_total_ += w;
+
+  spot_candidates_.resize(db_->size());
+  for (const geo::Region& center : db_->regions()) {
+    std::vector<SpotCandidate>& candidates =
+        spot_candidates_[static_cast<size_t>(center.id)];
+    for (const geo::Region& region : db_->regions()) {
+      if (region.id == center.id) continue;
+      double d = geo::ApproxDistanceKm(center.centroid, region.centroid);
+      if (d > options_.activity_radius_km) continue;
+      candidates.push_back(
+          {region.id, std::exp(-d / options_.distance_decay_km)});
+    }
+  }
 }
 
 geo::RegionId MobilityModel::SampleHomeRegion(Rng& rng) const {
   // Linear scan over cumulative weights; called once per user.
-  double total = 0.0;
-  for (double w : home_weights_) total += w;
-  double u = rng.Uniform() * total;
+  double u = rng.Uniform() * home_weight_total_;
   for (size_t i = 0; i < home_weights_.size(); ++i) {
     u -= home_weights_[i];
     if (u <= 0.0) return static_cast<geo::RegionId>(i);
@@ -50,33 +62,29 @@ geo::RegionId MobilityModel::SampleHomeRegion(Rng& rng) const {
 
 std::vector<geo::RegionId> MobilityModel::SampleNearbySpots(
     geo::RegionId center, int count, geo::RegionId exclude, Rng& rng) const {
-  const geo::LatLng origin = db_->region(center).centroid;
-  std::vector<geo::RegionId> candidates;
-  std::vector<double> weights;
-  for (const geo::Region& region : db_->regions()) {
-    if (region.id == center || region.id == exclude) continue;
-    double d = geo::ApproxDistanceKm(origin, region.centroid);
-    if (d > options_.activity_radius_km) continue;
-    candidates.push_back(region.id);
-    weights.push_back(std::exp(-d / options_.distance_decay_km));
+  const std::vector<SpotCandidate>& table =
+      spot_candidates_[static_cast<size_t>(center)];
+  std::vector<SpotCandidate> candidates;
+  candidates.reserve(table.size());
+  for (const SpotCandidate& candidate : table) {
+    if (candidate.region != exclude) candidates.push_back(candidate);
   }
   std::vector<geo::RegionId> picked;
   for (int k = 0; k < count && !candidates.empty(); ++k) {
     double total = 0.0;
-    for (double w : weights) total += w;
+    for (const SpotCandidate& candidate : candidates) total += candidate.weight;
     if (total <= 0.0) break;
     double u = rng.Uniform() * total;
     size_t chosen = candidates.size() - 1;
     for (size_t i = 0; i < candidates.size(); ++i) {
-      u -= weights[i];
+      u -= candidates[i].weight;
       if (u <= 0.0) {
         chosen = i;
         break;
       }
     }
-    picked.push_back(candidates[chosen]);
+    picked.push_back(candidates[chosen].region);
     candidates.erase(candidates.begin() + static_cast<ptrdiff_t>(chosen));
-    weights.erase(weights.begin() + static_cast<ptrdiff_t>(chosen));
   }
   return picked;
 }

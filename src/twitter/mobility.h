@@ -138,9 +138,20 @@ class MobilityModel {
   geo::RegionId SampleFarRegion(geo::RegionId from, double min_km,
                                 Rng& rng) const;
 
+  /// A district within activity_radius_km of a center, with its
+  /// exp(-distance / distance_decay_km) attractiveness.
+  struct SpotCandidate {
+    geo::RegionId region = geo::kInvalidRegion;
+    double weight = 0.0;
+  };
+
   const geo::AdminDb* db_;
   MobilityModelOptions options_;
   std::vector<double> home_weights_;
+  double home_weight_total_ = 0.0;
+  /// Per center district: every other district in its activity radius,
+  /// in region order. Built once, so a draw never recomputes distances.
+  std::vector<std::vector<SpotCandidate>> spot_candidates_;
 };
 
 }  // namespace stir::twitter

@@ -1,7 +1,9 @@
 #ifndef STIR_TWITTER_SOCIAL_GRAPH_H_
 #define STIR_TWITTER_SOCIAL_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,10 +27,13 @@ struct SocialGraphOptions {
 };
 
 /// Directed follower graph: edge u -> v means "u follows v" (v has
-/// follower u). Generated once; immutable afterwards.
+/// follower u). Generated once; immutable afterwards. Stored as two CSR
+/// tables of 32-bit ids, one per direction, so a node costs two 8-byte
+/// offsets and each edge two 4-byte ids.
 class SocialGraph {
  public:
-  /// Generates via a growing preferential-attachment process.
+  /// Generates via a growing preferential-attachment process. At most
+  /// 2^32-1 users.
   static SocialGraph Generate(const SocialGraphOptions& options, Rng& rng);
 
   /// Builds a graph from explicit follow edges (u follows v). Self-loops
@@ -38,24 +43,50 @@ class SocialGraph {
       int64_t num_users,
       const std::vector<std::pair<UserId, UserId>>& edges);
 
-  int64_t num_users() const { return static_cast<int64_t>(following_.size()); }
-  int64_t num_edges() const { return num_edges_; }
+  int64_t num_users() const { return num_users_; }
+  int64_t num_edges() const {
+    return static_cast<int64_t>(following_.ids.size());
+  }
 
   /// Accounts `user` follows, ascending ids.
-  const std::vector<UserId>& Following(UserId user) const;
+  std::span<const uint32_t> Following(UserId user) const;
   /// Accounts following `user`, ascending ids.
-  const std::vector<UserId>& Followers(UserId user) const;
+  std::span<const uint32_t> Followers(UserId user) const;
 
   /// The user with the most followers (the natural crawl seed: the paper
   /// seeded its crawler at a well-connected account).
   UserId MostFollowedUser() const;
 
+  /// Heap bytes held by both tables.
+  size_t memory_bytes() const;
+
  private:
+  /// One direction: row u is ids[begin[u], begin[u + 1]).
+  struct Csr {
+    std::vector<uint64_t> begin;
+    std::vector<uint32_t> ids;
+    std::span<const uint32_t> Row(size_t row) const {
+      return {ids.data() + begin[row], ids.data() + begin[row + 1]};
+    }
+  };
+
+  /// `from` follows `to`.
+  struct Edge {
+    uint32_t from;
+    uint32_t to;
+  };
+
   SocialGraph() = default;
 
-  std::vector<std::vector<UserId>> following_;
-  std::vector<std::vector<UserId>> followers_;
-  int64_t num_edges_ = 0;
+  /// The one way a graph is built: counting-sorts the edges into the
+  /// following table (consuming them), sorts each list and drops
+  /// self-loops and duplicates, then fills the follower table by walking
+  /// the following lists in id order.
+  static SocialGraph Assemble(int64_t num_users, std::vector<Edge> edges);
+
+  int64_t num_users_ = 0;
+  Csr following_;
+  Csr followers_;
 };
 
 }  // namespace stir::twitter
