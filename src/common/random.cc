@@ -50,16 +50,21 @@ double Rng::Uniform(double lo, double hi) {
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   STIR_CHECK_LE(lo, hi);
-  uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  // Unsigned arithmetic: hi - lo overflows int64_t for ranges past 2^63.
+  const auto base = static_cast<uint64_t>(lo);
+  uint64_t range = static_cast<uint64_t>(hi) - base + 1;
   if (range == 0) return static_cast<int64_t>(Next());  // full 64-bit range
-  // Rejection sampling to remove modulo bias.
-  uint64_t limit = std::numeric_limits<uint64_t>::max() -
-                   (std::numeric_limits<uint64_t>::max() % range + 1) % range;
-  uint64_t draw;
-  do {
-    draw = Next();
-  } while (draw > limit && limit != std::numeric_limits<uint64_t>::max());
-  return lo + static_cast<int64_t>(draw % range);
+  // Rejection sampling to remove modulo bias: draws above `limit`, the
+  // last value that completes a whole cycle of `range`, are redrawn.
+  // limit >= kMax - range + 1, so a draw up to that passes without the
+  // division that computes limit.
+  uint64_t draw = Next();
+  if (draw > kMax - range + 1) {
+    const uint64_t limit = kMax - (kMax % range + 1) % range;
+    while (draw > limit) draw = Next();
+  }
+  return static_cast<int64_t>(base + draw % range);
 }
 
 bool Rng::Bernoulli(double p) {

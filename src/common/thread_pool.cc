@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <string>
+#include <thread>
 
 namespace stir::common {
 
@@ -113,6 +114,10 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
     }
     RunTask(std::move(task), worker_index);
   }
+}
+
+int HardwareThreads() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 size_t NumShards(const ThreadPool* pool, size_t n) {

@@ -87,6 +87,10 @@ class ThreadPool {
   std::vector<obs::Counter*> worker_busy_us_;
 };
 
+/// Worker count of a default pool: std::thread::hardware_concurrency(),
+/// at least 1.
+int HardwareThreads();
+
 /// Number of contiguous shards ParallelFor/ParallelForShards split `n`
 /// items into for `pool`: min(n, worker count), at least 1. Shard
 /// boundaries depend only on (n, shard count), never on scheduling, which

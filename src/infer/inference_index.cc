@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
 #include <unordered_map>
 
 #include "common/clock.h"
@@ -249,8 +248,7 @@ InferenceIndex InferenceIndex::Build(const twitter::Dataset& dataset,
 
 InferenceIndex InferenceIndex::Build(const io::CorpusView& view,
                                      const geo::AdminDb& db) {
-  common::ThreadPool pool(
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+  common::ThreadPool pool(common::HardwareThreads());
   return Build(view, db, &pool);
 }
 

@@ -201,7 +201,7 @@ class InferenceIndex {
   static InferenceIndex Build(const twitter::Dataset& dataset,
                               const geo::AdminDb& db);
   /// Batch build over a zero-copy v3 corpus view (no materialization),
-  /// sharded on a pool of std::thread::hardware_concurrency() workers.
+  /// sharded on a pool of common::HardwareThreads() workers.
   static InferenceIndex Build(const io::CorpusView& view,
                               const geo::AdminDb& db);
   /// The same build on `pool` (null or inline: one shard). The user

@@ -178,6 +178,15 @@ void CorpusWriter::CloseAndRemoveSpills() {
   }
 }
 
+size_t CorpusWriter::RowSlot(twitter::UserId id) const {
+  const size_t mask = row_slots_.size() - 1;
+  size_t i = Mix64(static_cast<uint64_t>(id)) & mask;
+  while (row_slots_[i] != kNoRow && user_ids_[row_slots_[i]] != id) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
 Status CorpusWriter::Spill(SpillColumn* column, const void* data,
                            size_t bytes) {
   if (bytes == 0) return Status::OK();
@@ -199,9 +208,8 @@ Status CorpusWriter::AddUser(const twitter::User& user) {
       static_cast<size_t>(std::numeric_limits<uint32_t>::max())) {
     return Status::ResourceExhausted("corpus user table full (2^32-1 rows)");
   }
-  auto [it, inserted] =
-      user_rows_.emplace(user.id, static_cast<uint32_t>(user_ids_.size()));
-  if (!inserted) {
+  const size_t slot = RowSlot(user.id);
+  if (row_slots_[slot] != kNoRow) {
     return Status::InvalidArgument("duplicate user id " +
                                    std::to_string(user.id));
   }
@@ -209,11 +217,17 @@ Status CorpusWriter::AddUser(const twitter::User& user) {
   std::optional<uint32_t> profile =
       handle ? arena_.Intern(user.profile_location) : std::nullopt;
   if (!profile) {
-    user_rows_.erase(it);
     return Status::ResourceExhausted(
         "corpus string arena full (2^32-1 strings)");
   }
+  row_slots_[slot] = static_cast<uint32_t>(user_ids_.size());
   user_ids_.push_back(user.id);
+  if (2 * user_ids_.size() > row_slots_.size()) {
+    row_slots_.assign(2 * row_slots_.size(), kNoRow);
+    for (size_t row = 0; row < user_ids_.size(); ++row) {
+      row_slots_[RowSlot(user_ids_[row])] = static_cast<uint32_t>(row);
+    }
+  }
   user_handle_refs_.push_back(*handle);
   user_profile_refs_.push_back(*profile);
   user_total_tweets_.push_back(user.total_tweets);
@@ -224,13 +238,19 @@ Status CorpusWriter::AddUser(const twitter::User& user) {
 Status CorpusWriter::AddTweet(const twitter::Tweet& tweet) {
   if (!deferred_error_.ok()) return deferred_error_;
   if (finished_) return Status::FailedPrecondition("writer already finished");
-  auto it = user_rows_.find(tweet.user);
-  if (it == user_rows_.end()) {
-    return Status::InvalidArgument("tweet " + std::to_string(tweet.id) +
-                                   " from unknown user " +
-                                   std::to_string(tweet.user));
+  // Tweets mostly follow their user, so the user added last needs no
+  // probe.
+  uint32_t user_row;
+  if (!user_ids_.empty() && user_ids_.back() == tweet.user) {
+    user_row = static_cast<uint32_t>(user_ids_.size() - 1);
+  } else {
+    user_row = row_slots_[RowSlot(tweet.user)];
+    if (user_row == kNoRow) {
+      return Status::InvalidArgument("tweet " + std::to_string(tweet.id) +
+                                     " from unknown user " +
+                                     std::to_string(tweet.user));
+    }
   }
-  uint32_t user_row = it->second;
   if (tweet_rows_ > 0 && static_cast<int64_t>(user_row) < last_user_row_) {
     grouped_ = false;
   }

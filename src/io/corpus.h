@@ -4,12 +4,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -158,6 +158,10 @@ class CorpusWriter {
   /// In-memory writer (EncodeDataset): tweets are never spilled.
   CorpusWriter();
 
+  /// The slot of `id` in row_slots_: the one holding its row, or the
+  /// empty slot where that row would go.
+  size_t RowSlot(twitter::UserId id) const;
+
   Status Spill(SpillColumn* column, const void* data, size_t bytes);
   Status FlushTweetBuffers();
   void CloseAndRemoveSpills();
@@ -177,7 +181,11 @@ class CorpusWriter {
   std::vector<uint32_t> user_profile_refs_;
   std::vector<int64_t> user_total_tweets_;
   std::vector<uint32_t> user_tweet_counts_;
-  std::unordered_map<twitter::UserId, uint32_t> user_rows_;
+  /// id -> row: open addressing over user rows, probed from the id's
+  /// hash and keyed by user_ids_[row]; a power of two, at most half
+  /// full, kNoRow where empty.
+  static constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> row_slots_ = std::vector<uint32_t>(64, kNoRow);
   StringArena arena_;
 
   // Tweet column buffers (spilled every tweet_spill_rows rows).

@@ -1,5 +1,6 @@
 #include "io/truth_sidecar.h"
 
+#include <charconv>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -43,7 +44,9 @@ TruthSidecarWriter::TruthSidecarWriter(std::string path, bool fsync)
 }
 
 void TruthSidecarWriter::Add(const TruthRecord& record) {
-  body_ += StrFormat("%lld\t", static_cast<long long>(record.user));
+  char id[24];
+  body_.append(id, std::to_chars(id, id + sizeof(id), record.user).ptr);
+  body_ += '\t';
   body_ += record.archetype;
   body_ += '\t';
   body_ += record.home_state;

@@ -2,6 +2,7 @@
 #define STIR_TWITTER_GENERATOR_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 
 #include "common/clock.h"
@@ -12,6 +13,10 @@
 #include "twitter/profile_text.h"
 #include "twitter/social_graph.h"
 #include "twitter/tweet_text.h"
+
+namespace stir::common {
+class ThreadPool;
+}
 
 namespace stir::io {
 class CorpusWriter;
@@ -88,7 +93,12 @@ class DatasetGenerator {
   /// `db` must outlive the generator.
   DatasetGenerator(const geo::AdminDb* db, DatasetGeneratorOptions options);
 
+  /// Synthesizes on a pool of common::HardwareThreads() workers. The
+  /// output is a function of the options alone, whatever the pool
+  /// (DESIGN.md §14).
   GeneratedData Generate() const;
+  /// Synthesizes on `pool` (inline when null or workerless).
+  GeneratedData Generate(common::ThreadPool* pool) const;
 
   /// Streams the synthesized corpus straight into a v3 arena corpus
   /// writer without ever holding a Dataset or GroundTruth in memory —
@@ -98,15 +108,23 @@ class DatasetGenerator {
   /// shared synthesis core draws from the same seeded streams, so the
   /// written corpus is field-identical to
   /// CorpusWriter::WriteDataset(Generate().dataset). The caller owns
-  /// `writer` and calls Finish() on it afterwards.
+  /// `writer` and calls Finish() on it afterwards. The sinks run on the
+  /// calling thread only.
   ///
   /// `truth` (optional) receives one name-keyed TruthRecord per user as
   /// the walk passes it — the ground truth the in-memory path keeps in
   /// GroundTruth, persisted out of core so `stir_cli infer --corpus` can
   /// score predictions without regenerating. The caller owns it and
   /// calls Finish() afterwards.
+  ///
+  /// Synthesizes on a pool of common::HardwareThreads() workers; the
+  /// corpus is the same for every pool.
   StatusOr<CorpusStreamInfo> GenerateToCorpus(
       io::CorpusWriter* writer, io::TruthSidecarWriter* truth = nullptr) const;
+  /// Synthesizes on `pool` (inline when null or workerless).
+  StatusOr<CorpusStreamInfo> GenerateToCorpus(io::CorpusWriter* writer,
+                                              io::TruthSidecarWriter* truth,
+                                              common::ThreadPool* pool) const;
 
   /// The Korean dataset preset at `scale` (1.0 = the paper's 52,200
   /// crawled users / ~11M tweets; default 0.1 runs in seconds).
@@ -118,18 +136,28 @@ class DatasetGenerator {
   const DatasetGeneratorOptions& options() const { return options_; }
 
  private:
+  /// Consecutive crawl-order users synthesized off the calling thread:
+  /// what the sinks receive for them, tweet ids aside.
+  struct UserBlock;
+
   SimTime SampleTimestamp(Rng& rng) const;
 
+  /// Synthesizes `users[i]` from `block->rngs[i]` into `block`'s columns
+  /// (mobility, profile, tweets), replacing what they held.
+  void SynthesizeBlock(std::span<const UserId> users, UserBlock* block) const;
+
   /// The shared synthesis core: samples the user population (graph crawl
-  /// or enumeration) and walks every user's timeline, handing each User
-  /// and Tweet to the sinks in a single deterministic order. `on_truth`
-  /// observes each user's ground truth as the walk passes it (the
-  /// in-memory path fills GroundTruth; the streaming path writes the
-  /// sidecar or drops it). A sink returning a non-OK status aborts the
-  /// walk.
+  /// or enumeration) and walks every user's timeline on `pool`, handing
+  /// each User and Tweet to the sinks on the calling thread in a single
+  /// deterministic order. `on_truth` observes each user's ground truth as
+  /// the walk passes it, its spots passed beside a profile that holds
+  /// none (the in-memory path fills GroundTruth; the streaming path
+  /// writes the sidecar or drops it). A sink returning a non-OK status
+  /// aborts the walk; no task is left running on `pool`.
   template <typename UserSink, typename TweetSink, typename TruthSink>
   Status Synthesize(UserSink&& on_user, TweetSink&& on_tweet,
-                    TruthSink&& on_truth, CorpusStreamInfo* info) const;
+                    TruthSink&& on_truth, CorpusStreamInfo* info,
+                    common::ThreadPool* pool) const;
 
   const geo::AdminDb* db_;
   DatasetGeneratorOptions options_;

@@ -1,9 +1,11 @@
 #include "twitter/social_graph.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 
 namespace stir::twitter {
 
@@ -22,10 +24,31 @@ void InclusivePrefixSum(std::vector<uint64_t>& begin) {
   }
 }
 
+/// Runs fn(lo, hi) on `pool` over common::NumShards(pool, n) disjoint
+/// row ranges covering [0, n) that hold about equal numbers of entries,
+/// going by `begin`: n + 1 nondecreasing CSR offsets (row starts or row
+/// ends), whose last is the entry count.
+void ForRowShards(common::ThreadPool* pool, const std::vector<uint64_t>& begin,
+                  const std::function<void(size_t lo, size_t hi)>& fn) {
+  const size_t n = begin.size() - 1;
+  const size_t shards = common::NumShards(pool, n);
+  std::vector<size_t> bound(shards + 1, n);
+  bound[0] = 0;
+  for (size_t s = 1; s < shards; ++s) {
+    const uint64_t target = begin[n] / shards * s;
+    bound[s] = static_cast<size_t>(
+        std::lower_bound(begin.begin() + static_cast<ptrdiff_t>(bound[s - 1]),
+                         begin.begin() + static_cast<ptrdiff_t>(n), target) -
+        begin.begin());
+  }
+  common::ParallelFor(pool, shards,
+                      [&](size_t s) { fn(bound[s], bound[s + 1]); });
+}
+
 }  // namespace
 
 SocialGraph SocialGraph::Generate(const SocialGraphOptions& options,
-                                  Rng& rng) {
+                                  Rng& rng, common::ThreadPool* pool) {
   STIR_CHECK_GE(options.num_users, 2);
   STIR_CHECK_LE(options.num_users, kMaxUsers);
   const int64_t n = options.num_users;
@@ -87,7 +110,7 @@ SocialGraph SocialGraph::Generate(const SocialGraphOptions& options,
   }
 
   std::vector<uint32_t>().swap(pa_pool);
-  return Assemble(n, std::move(edges));
+  return Assemble(n, std::move(edges), pool);
 }
 
 SocialGraph SocialGraph::FromEdges(
@@ -101,13 +124,16 @@ SocialGraph SocialGraph::FromEdges(
     STIR_CHECK_LT(from, num_users);
     STIR_CHECK_GE(to, 0);
     STIR_CHECK_LT(to, num_users);
+    if (from == to) continue;
     checked.push_back({static_cast<uint32_t>(from), static_cast<uint32_t>(to)});
   }
-  return Assemble(num_users, std::move(checked));
+  std::sort(checked.begin(), checked.end());
+  checked.erase(std::unique(checked.begin(), checked.end()), checked.end());
+  return Assemble(num_users, std::move(checked), nullptr);
 }
 
-SocialGraph SocialGraph::Assemble(int64_t num_users,
-                                  std::vector<Edge> edges) {
+SocialGraph SocialGraph::Assemble(int64_t num_users, std::vector<Edge> edges,
+                                  common::ThreadPool* pool) {
   const auto n = static_cast<size_t>(num_users);
   SocialGraph graph;
   graph.num_users_ = num_users;
@@ -124,38 +150,31 @@ SocialGraph SocialGraph::Assemble(int64_t num_users,
   }
   std::vector<Edge>().swap(edges);
 
-  // Sort each list, then drop self-loops and duplicates in place (edge
-  // lists may carry both; generated edges carry neither).
-  uint64_t read = 0;
-  uint64_t write = 0;
-  for (size_t u = 0; u < n; ++u) {
-    const uint64_t end = out.begin[u + 1];
-    std::sort(out.ids.begin() + static_cast<ptrdiff_t>(read),
-              out.ids.begin() + static_cast<ptrdiff_t>(end));
-    out.begin[u] = write;
-    for (; read < end; ++read) {
-      const uint32_t v = out.ids[read];
-      if (v == u || (write > out.begin[u] && out.ids[write - 1] == v)) {
-        continue;
-      }
-      out.ids[write++] = v;
+  // Sort each list. The edges carry no self-loops or duplicates:
+  // Generate never draws them and FromEdges drops them.
+  ForRowShards(pool, out.begin, [&](size_t lo, size_t hi) {
+    for (size_t u = lo; u < hi; ++u) {
+      std::sort(out.ids.begin() + static_cast<ptrdiff_t>(out.begin[u]),
+                out.ids.begin() + static_cast<ptrdiff_t>(out.begin[u + 1]));
     }
-  }
-  out.begin[n] = write;
-  out.ids.resize(write);
+  });
 
   // Follower lists: walking the following lists from the highest id down
-  // and filling each follower list from its back leaves it ascending.
+  // and filling each follower list from its back leaves it ascending. A
+  // shard owns a range of followed ids, walks every list and keeps the
+  // entries that fall in its range.
   Csr& in = graph.followers_;
   in.begin.assign(n + 1, 0);
   for (uint32_t v : out.ids) ++in.begin[v];
   InclusivePrefixSum(in.begin);
   in.ids.resize(out.ids.size());
-  for (size_t u = n; u-- > 0;) {
-    for (uint32_t v : out.Row(u)) {
-      in.ids[--in.begin[v]] = static_cast<uint32_t>(u);
+  ForRowShards(pool, in.begin, [&](size_t lo, size_t hi) {
+    for (size_t u = n; u-- > 0;) {
+      for (uint32_t v : out.Row(u)) {
+        if (v - lo < hi - lo) in.ids[--in.begin[v]] = static_cast<uint32_t>(u);
+      }
     }
-  }
+  });
   return graph;
 }
 

@@ -1,6 +1,7 @@
 #ifndef STIR_TWITTER_SOCIAL_GRAPH_H_
 #define STIR_TWITTER_SOCIAL_GRAPH_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -9,6 +10,10 @@
 
 #include "common/random.h"
 #include "twitter/model.h"
+
+namespace stir::common {
+class ThreadPool;
+}
 
 namespace stir::twitter {
 
@@ -33,8 +38,10 @@ struct SocialGraphOptions {
 class SocialGraph {
  public:
   /// Generates via a growing preferential-attachment process. At most
-  /// 2^32-1 users.
-  static SocialGraph Generate(const SocialGraphOptions& options, Rng& rng);
+  /// 2^32-1 users. The tables are built on `pool` (inline when null);
+  /// the graph is the same for every pool.
+  static SocialGraph Generate(const SocialGraphOptions& options, Rng& rng,
+                              common::ThreadPool* pool = nullptr);
 
   /// Builds a graph from explicit follow edges (u follows v). Self-loops
   /// and duplicates are dropped. Useful for tests and for loading real
@@ -74,15 +81,18 @@ class SocialGraph {
   struct Edge {
     uint32_t from;
     uint32_t to;
+    auto operator<=>(const Edge&) const = default;
   };
 
   SocialGraph() = default;
 
-  /// The one way a graph is built: counting-sorts the edges into the
-  /// following table (consuming them), sorts each list and drops
-  /// self-loops and duplicates, then fills the follower table by walking
-  /// the following lists in id order.
-  static SocialGraph Assemble(int64_t num_users, std::vector<Edge> edges);
+  /// The one way a graph is built: counting-sorts the edges, which must
+  /// hold no self-loop or duplicate, into the following table (consuming
+  /// them), sorts each list, then fills the follower table by walking
+  /// the following lists in id order. The sort and the fill run on
+  /// `pool`, each shard writing only its own range of rows.
+  static SocialGraph Assemble(int64_t num_users, std::vector<Edge> edges,
+                              common::ThreadPool* pool);
 
   int64_t num_users_ = 0;
   Csr following_;

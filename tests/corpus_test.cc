@@ -7,10 +7,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/report.h"
 #include "core/study.h"
 #include "io/corpus_reader.h"
@@ -189,6 +191,75 @@ TEST(CorpusWriterTest, RejectsTweetFromUnknownUser) {
   std::filesystem::remove(path);
 }
 
+// The writer's id -> row table against a std::map: scattered and
+// negative ids across many growths, every duplicate and unknown id
+// rejected with its message, and tweets from the user added last and
+// from users long before it landing on their own rows.
+TEST(CorpusWriterTest, IdTableMatchesAMapAcrossGrowths) {
+  std::filesystem::path path = TempPath("corpus_id_table.corpus");
+  CorpusWriterOptions options;
+  options.fsync = false;
+  CorpusWriter writer(path.string(), options);
+  Rng rng(5);
+  std::map<twitter::UserId, uint32_t> rows;
+  std::vector<twitter::UserId> ids;
+  std::vector<std::pair<twitter::TweetId, twitter::UserId>> tweets;
+  auto add_tweet = [&](twitter::UserId user) {
+    twitter::Tweet tweet;
+    tweet.id = static_cast<twitter::TweetId>(tweets.size()) + 1;
+    tweet.user = user;
+    tweet.text = "t";
+    ASSERT_TRUE(writer.AddTweet(tweet).ok());
+    tweets.emplace_back(tweet.id, user);
+  };
+  while (ids.size() < 5000) {
+    twitter::User user;
+    user.id = rng.UniformInt(-(int64_t{1} << 40), int64_t{1} << 40);
+    user.handle = std::to_string(user.id);
+    const bool fresh =
+        rows.emplace(user.id, static_cast<uint32_t>(ids.size())).second;
+    Status added = writer.AddUser(user);
+    if (!fresh) {
+      EXPECT_EQ(added.ToString(),
+                Status::InvalidArgument("duplicate user id " +
+                                        std::to_string(user.id))
+                    .ToString());
+      continue;
+    }
+    ASSERT_TRUE(added.ok()) << added.ToString();
+    ids.push_back(user.id);
+    add_tweet(user.id);  // the user added last
+    add_tweet(ids[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))]);
+    if (ids.size() % 7 == 0) {
+      // Every id so far is still a duplicate.
+      twitter::User again;
+      again.id = ids[ids.size() / 2];
+      EXPECT_FALSE(writer.AddUser(again).ok());
+      twitter::Tweet stray;
+      stray.id = 99;
+      stray.user = (int64_t{1} << 41) + static_cast<int64_t>(ids.size());
+      EXPECT_EQ(writer.AddTweet(stray).ToString(),
+                Status::InvalidArgument("tweet 99 from unknown user " +
+                                        std::to_string(stray.user))
+                    .ToString());
+    }
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+  auto view = CorpusView::Open(path.string());
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  ASSERT_EQ(view->user_count(), ids.size());
+  for (size_t row = 0; row < ids.size(); ++row) {
+    EXPECT_EQ(view->user_id(row), ids[row]);
+  }
+  ASSERT_EQ(view->tweet_count(), tweets.size());
+  for (size_t t = 0; t < tweets.size(); ++t) {
+    EXPECT_EQ(view->tweet_id(t), tweets[t].first);
+    EXPECT_EQ(view->tweet_user_row(t), rows.at(tweets[t].second));
+  }
+  std::filesystem::remove(path);
+}
+
 class CorpusCorruptionTest : public ::testing::Test {
  protected:
   static std::string Fixture(const char* name) {
@@ -225,7 +296,9 @@ TEST_F(CorpusCorruptionTest, BadCrcSlipsPastDisabledVerification) {
   auto view = CorpusView::Open(Fixture("bad_crc.corpus"), options);
   // Either outcome is structurally legal; the point is no crash and that
   // the default (verifying) path above rejects it.
-  if (view.ok()) EXPECT_GT(view->user_count(), 0u);
+  if (view.ok()) {
+    EXPECT_GT(view->user_count(), 0u);
+  }
 }
 
 TEST_F(CorpusCorruptionTest, RejectsTruncation) {

@@ -35,7 +35,9 @@ TEST_F(EventSimTest, ReportsTimeOrderedAndAfterOnset) {
   ASSERT_GT(reports.size(), 20u);
   for (size_t i = 0; i < reports.size(); ++i) {
     EXPECT_GE(reports[i].time, 1000);
-    if (i > 0) EXPECT_GE(reports[i].time, reports[i - 1].time);
+    if (i > 0) {
+      EXPECT_GE(reports[i].time, reports[i - 1].time);
+    }
   }
 }
 

@@ -27,7 +27,9 @@ TEST_F(MobilityTest, ProfileInvariants) {
       EXPECT_GE(p.spots[i].region, 0);
       EXPECT_LT(static_cast<size_t>(p.spots[i].region), db_.size());
       EXPECT_GT(p.spots[i].weight, 0.0);
-      if (i > 0) EXPECT_LE(p.spots[i].weight, p.spots[i - 1].weight);
+      if (i > 0) {
+        EXPECT_LE(p.spots[i].weight, p.spots[i - 1].weight);
+      }
       total += p.spots[i].weight;
     }
     EXPECT_NEAR(total, 1.0, 1e-9);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <vector>
 
 #include "stats/correlation.h"
 
@@ -160,6 +163,57 @@ TEST(RngTest, UniformIntPassesChiSquareUniformity) {
   // df = 11; 99.9th percentile ~ 31.3. A correct generator fails this
   // one seed in a thousand; the seed is fixed, so the test is stable.
   EXPECT_LT(*stat, 31.3);
+}
+
+/// UniformInt's rejection rule as it was before the early accept: work
+/// out the limit on every draw, redraw above it. Returns the offset
+/// from lo.
+uint64_t ReferenceUniformOffset(Rng& rng, uint64_t range) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  uint64_t limit = kMax - (kMax % range + 1) % range;
+  uint64_t draw;
+  do {
+    draw = rng.Next();
+  } while (draw > limit && limit != kMax);
+  return draw % range;
+}
+
+// The early accept must change neither a value nor the number of Next()
+// calls: every generated corpus depends on both.
+TEST(RngTest, UniformIntMatchesTheReferenceRejectionRule) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  std::vector<uint64_t> ranges = {1,
+                                  2,
+                                  3,
+                                  (uint64_t{1} << 32) - 1,
+                                  (uint64_t{1} << 32) + 1,
+                                  uint64_t{1} << 63,
+                                  (uint64_t{1} << 63) + 1,
+                                  kMax};
+  Rng pick(77);
+  for (int i = 0; i < 200; ++i) {
+    // Small, 32-bit and near-2^64 ranges; the last reject often.
+    const int bits = static_cast<int>(pick.UniformInt(1, 64));
+    const uint64_t r = pick.Next() >> (64 - bits);
+    ranges.push_back(std::max<uint64_t>(r, 1));
+    ranges.push_back(kMax - (pick.Next() >> 1));
+  }
+  for (uint64_t range : ranges) {
+    // Place [lo, hi] so both fit in int64_t for every range.
+    const int64_t lo =
+        range > (uint64_t{1} << 62) ? std::numeric_limits<int64_t>::min() : -3;
+    const auto hi = static_cast<int64_t>(static_cast<uint64_t>(lo) + range - 1);
+    Rng actual(range ^ 0x5eed);
+    Rng reference(range ^ 0x5eed);
+    for (int draw = 0; draw < 500; ++draw) {
+      const int64_t want = static_cast<int64_t>(
+          static_cast<uint64_t>(lo) + ReferenceUniformOffset(reference, range));
+      ASSERT_EQ(actual.UniformInt(lo, hi), want)
+          << "range " << range << " draw " << draw;
+      ASSERT_EQ(actual.Next(), reference.Next())
+          << "range " << range << " draw " << draw << ": streams diverged";
+    }
+  }
 }
 
 // Property sweep: UniformInt stays within arbitrary bounds.

@@ -104,7 +104,9 @@ TEST_F(StudyIndexTest, PostingsAscendingAndDupFree) {
     EXPECT_EQ(end - begin, district.num_users);
     postings_total += district.num_users;
     for (const twitter::UserId* p = begin; p != end; ++p) {
-      if (p != begin) EXPECT_LT(*(p - 1), *p);
+      if (p != begin) {
+        EXPECT_LT(*(p - 1), *p);
+      }
       EXPECT_NE(index_->FindUser(*p), nullptr);
     }
   }

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
+
 namespace stir::twitter {
 namespace {
 
@@ -264,6 +266,22 @@ TEST(SocialGraphTest, FromEdgesMatchesTheSetReference) {
                       "seed=" + std::to_string(seed) +
                           " n=" + std::to_string(n));
     }
+  }
+}
+
+// The tables are built by shards over row ranges that hold about equal
+// numbers of entries; the graph must not depend on where they fall.
+TEST(SocialGraphTest, GenerateIsTheSameOnEveryPool) {
+  SocialGraphOptions options;
+  options.num_users = 5000;
+  for (int workers : {0, 1, 2, 3, 8}) {
+    common::ThreadPool pool(workers);
+    Rng rng(7);
+    Rng ref_rng(7);
+    SocialGraph graph = SocialGraph::Generate(options, rng, &pool);
+    const std::string label = "workers=" + std::to_string(workers);
+    ExpectSameGraph(graph, ReferenceGenerate(options, ref_rng), label);
+    EXPECT_EQ(rng.Next(), ref_rng.Next()) << label;
   }
 }
 

@@ -55,8 +55,12 @@ TEST(TfIdfTest, RepeatedAddMergesDocument) {
   ASSERT_EQ(terms->size(), 2u);
   // x counted twice in d.
   for (const TermScore& t : *terms) {
-    if (t.term == "x") EXPECT_EQ(t.count, 2);
-    if (t.term == "y") EXPECT_EQ(t.count, 1);
+    if (t.term == "x") {
+      EXPECT_EQ(t.count, 2);
+    }
+    if (t.term == "y") {
+      EXPECT_EQ(t.count, 1);
+    }
   }
 }
 

@@ -111,7 +111,9 @@ TEST_F(MovingEventSimTest, ReportsFollowTheTrack) {
   ASSERT_GT(reports.size(), 50u);
   // Time-ordered, and each witness near the eye at report time.
   for (size_t i = 0; i < reports.size(); ++i) {
-    if (i > 0) EXPECT_GE(reports[i].time, reports[i - 1].time);
+    if (i > 0) {
+      EXPECT_GE(reports[i].time, reports[i - 1].time);
+    }
     geo::LatLng eye = MovingEventPosition(spec, reports[i].time);
     double d = geo::HaversineKm(db_.region(reports[i].true_region).centroid,
                                 eye);
