@@ -4,8 +4,10 @@
 //
 // `--json <path>` (consumed before google-benchmark sees the argv)
 // additionally writes the machine-readable shape shared with
-// bench_serve: {"benchmarks":[{"name","iterations","ns_per_op"}]} plus a
-// "process" object with peak RSS and peak mapped corpus bytes.
+// bench_stream and bench_infer (bench_util.h): a "host" block, then
+// {"benchmarks":[{"name","iterations","ns_per_op"}]} and a "process"
+// object with peak RSS and peak mapped corpus bytes. The bench_snapshots
+// target of a Release build writes BENCH_perf.json this way.
 //
 // `--scale S` switches to the out-of-core mode: stream-generate a v3
 // arena corpus at Korean-preset scale S (1.0 = 52,200 users) to a temp

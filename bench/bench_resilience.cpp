@@ -11,6 +11,8 @@
 // bench_stream, one entry per configuration, with the fault-accounting
 // counters (injected / recovered / surfaced / quarantined) as extras.
 
+#include <unistd.h>
+
 #include <chrono>
 #include <filesystem>
 #include <string_view>
@@ -132,8 +134,11 @@ int Main(int argc, char** argv) {
               overhead, static_cast<long long>(faulty.funnel.backoff_ms));
 
   // --- Durability overhead: geocode journal + checkpoints on vs off. ---
+  // Per process, so concurrent runs (two build trees under ctest) cannot
+  // share a journal.
   std::filesystem::path ckpt_dir =
-      std::filesystem::temp_directory_path() / "stir_bench_resilience_ckpt";
+      std::filesystem::temp_directory_path() /
+      ("stir_bench_resilience_ckpt_" + std::to_string(::getpid()));
   std::filesystem::remove_all(ckpt_dir);
 
   StudyConfig durable;

@@ -13,7 +13,10 @@
 // Usage: bench_stream [scale] [--json <path>]
 //
 // --json writes the machine-readable shape shared with bench_perf and
-// bench_serve: {"benchmarks":[{"name","iterations","ns_per_op",...}]}
+// bench_infer (bench_util.h): a "host" block, then
+// {"benchmarks":[{"name","iterations","ns_per_op",...}]}. The
+// bench_snapshots target of a Release build writes BENCH_stream.json
+// from a scale-1.0 run.
 
 #include <algorithm>
 #include <chrono>

@@ -43,82 +43,4 @@ int64_t RetryPolicy::BackoffMs(int attempt, uint64_t key) const {
   return backoff_ms;
 }
 
-CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options)
-    : options_(options) {
-  STIR_CHECK(options_.failure_threshold >= 1);
-  STIR_CHECK(options_.cooldown_rejections >= 1);
-  STIR_CHECK(options_.success_threshold >= 1);
-  if (options_.metrics != nullptr) {
-    m_opened_ = options_.metrics->GetCounter("breaker.opened");
-    m_half_opened_ = options_.metrics->GetCounter("breaker.half_opened");
-    m_closed_ = options_.metrics->GetCounter("breaker.closed");
-    m_rejected_ = options_.metrics->GetCounter("breaker.rejected");
-  }
-}
-
-bool CircuitBreaker::AllowRequest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (state_ != State::kOpen) return true;
-  ++total_rejected_;
-  obs::IncrementCounter(m_rejected_);
-  if (++open_rejections_ >= options_.cooldown_rejections) {
-    state_ = State::kHalfOpen;
-    consecutive_successes_ = 0;
-    obs::IncrementCounter(m_half_opened_);
-  }
-  return false;
-}
-
-void CircuitBreaker::RecordSuccess() {
-  std::lock_guard<std::mutex> lock(mu_);
-  consecutive_failures_ = 0;
-  if (state_ == State::kHalfOpen &&
-      ++consecutive_successes_ >= options_.success_threshold) {
-    state_ = State::kClosed;
-    consecutive_successes_ = 0;
-    obs::IncrementCounter(m_closed_);
-  }
-}
-
-void CircuitBreaker::RecordFailure() {
-  std::lock_guard<std::mutex> lock(mu_);
-  consecutive_successes_ = 0;
-  if (state_ == State::kHalfOpen ||
-      (state_ == State::kClosed &&
-       ++consecutive_failures_ >= options_.failure_threshold)) {
-    state_ = State::kOpen;
-    consecutive_failures_ = 0;
-    open_rejections_ = 0;
-    ++times_opened_;
-    obs::IncrementCounter(m_opened_);
-  }
-}
-
-CircuitBreaker::State CircuitBreaker::state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state_;
-}
-
-int64_t CircuitBreaker::rejected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_rejected_;
-}
-
-int64_t CircuitBreaker::times_opened() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return times_opened_;
-}
-
-const char* CircuitBreakerStateToString(CircuitBreaker::State state) {
-  switch (state) {
-    case CircuitBreaker::State::kClosed:
-      return "closed";
-    case CircuitBreaker::State::kOpen:
-      return "open";
-    case CircuitBreaker::State::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 }  // namespace stir::common

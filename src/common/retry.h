@@ -2,10 +2,8 @@
 #define STIR_COMMON_RETRY_H_
 
 #include <cstdint>
-#include <mutex>
 
 #include "common/status.h"
-#include "obs/metrics.h"
 
 namespace stir::common {
 
@@ -54,69 +52,6 @@ class RetryPolicy {
  private:
   RetryPolicyOptions options_;
 };
-
-/// Knobs for the circuit breaker. Cooldown is measured in *rejected
-/// calls* rather than wall time, keeping the state machine deterministic
-/// for a fixed call sequence.
-struct CircuitBreakerOptions {
-  /// Consecutive failures that trip the breaker open.
-  int failure_threshold = 5;
-  /// Requests rejected while open before the breaker half-opens to probe.
-  int64_t cooldown_rejections = 50;
-  /// Consecutive successes in half-open that close the breaker.
-  int success_threshold = 2;
-  /// Optional metrics sink (not owned; must outlive the breaker). Reports
-  /// state transitions as counters `breaker.opened` / `breaker.half_opened`
-  /// / `breaker.closed` plus `breaker.rejected` (DESIGN.md §8).
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-/// Minimal three-state circuit breaker (closed -> open -> half-open).
-/// Thread-safe; all transitions happen under one mutex. Note that under
-/// concurrency the *placement* of trips depends on call interleaving, so
-/// pipelines that guarantee bit-identical parallel output leave the
-/// breaker disabled (see DESIGN.md §7).
-class CircuitBreaker {
- public:
-  enum class State { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
-
-  explicit CircuitBreaker(CircuitBreakerOptions options = {});
-
-  /// True when the protected call may proceed. While open, counts the
-  /// rejection and half-opens once `cooldown_rejections` have been
-  /// rejected.
-  bool AllowRequest();
-
-  /// Reports the outcome of an allowed call.
-  void RecordSuccess();
-  void RecordFailure();
-
-  State state() const;
-  /// Total calls rejected while open.
-  int64_t rejected() const;
-  /// Times the breaker tripped from closed/half-open to open.
-  int64_t times_opened() const;
-
-  const CircuitBreakerOptions& options() const { return options_; }
-
- private:
-  CircuitBreakerOptions options_;
-  mutable std::mutex mu_;
-  State state_ = State::kClosed;
-  int consecutive_failures_ = 0;
-  int consecutive_successes_ = 0;
-  int64_t open_rejections_ = 0;  ///< Rejections in the current open spell.
-  int64_t total_rejected_ = 0;
-  int64_t times_opened_ = 0;
-
-  // Transition counters (null when no metrics sink is configured).
-  obs::Counter* m_opened_ = nullptr;
-  obs::Counter* m_half_opened_ = nullptr;
-  obs::Counter* m_closed_ = nullptr;
-  obs::Counter* m_rejected_ = nullptr;
-};
-
-const char* CircuitBreakerStateToString(CircuitBreaker::State state);
 
 }  // namespace stir::common
 

@@ -51,7 +51,8 @@ struct UserGrouping {
   }
   /// Dense geo::DistrictNameTable key of the profile (state, county)
   /// pair; kInvalidNameKey only for groupings assembled outside
-  /// GroupUser (hand-built test fixtures).
+  /// GroupUser (hand-built test fixtures), which serve::StudyIndex
+  /// refuses.
   uint32_t profile_name_key = kInvalidNameKey;
 };
 

@@ -46,8 +46,7 @@ struct MergedLocationString {
   /// Dense geo::DistrictNameTable key of the tweet (state, county) pair,
   /// set by the integer grouping pass in GroupUser; kInvalidNameKey when
   /// the row came from a plain MergeAndOrder over parsed records.
-  /// Consumers (serve::StudyIndex) use it to intern district names once
-  /// instead of re-deriving them per row.
+  /// serve::StudyIndex requires it and interns district names by it.
   uint32_t name_key = kInvalidNameKey;
 
   std::string ToString() const;

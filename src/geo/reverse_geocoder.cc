@@ -52,7 +52,6 @@ ReverseGeocoder::ReverseGeocoder(const AdminDb* db,
     m_cache_contention_ = m->GetCounter("geocode.cache_contention");
     m_faulted_ = m->GetCounter("geocode.faulted");
     m_retried_ = m->GetCounter("geocode.retried");
-    m_breaker_rejections_ = m->GetCounter("geocode.breaker_rejections");
     m_backoff_ms_ = m->GetCounter("geocode.backoff_ms");
     m_attempts_ = m->GetHistogram("geocode.attempts", {1, 2, 3, 4, 6, 8});
   }
@@ -113,25 +112,13 @@ auto ReverseGeocoder::Lookup(int64_t fault_index, Direct direct)
   if (fault_index < 0) fault_index = fault->NextIndex();
   int attempts = 0;
   for (;;) {
-    if (options_.circuit_breaker != nullptr &&
-        !options_.circuit_breaker->AllowRequest()) {
-      num_breaker_rejections_.fetch_add(1, std::memory_order_relaxed);
-      obs::IncrementCounter(m_breaker_rejections_);
-      return Status::Unavailable("reverse geocoder circuit breaker open");
-    }
     common::FaultDecision decision = fault->Decide(fault_index, attempts);
     ++attempts;
     if (decision.status.ok()) {
       // The attempt reached the service; whatever it answers (including
       // NotFound / a spent quota) is a successful round trip.
-      if (options_.circuit_breaker != nullptr) {
-        options_.circuit_breaker->RecordSuccess();
-      }
       obs::RecordSample(m_attempts_, attempts);
       return direct();
-    }
-    if (options_.circuit_breaker != nullptr) {
-      options_.circuit_breaker->RecordFailure();
     }
     if (!retry_policy_.ShouldRetry(decision.status, attempts)) {
       num_faulted_.fetch_add(1, std::memory_order_relaxed);

@@ -52,16 +52,11 @@ struct ReverseGeocoderOptions {
   /// Retry schedule for injected transient failures (engaged only when a
   /// fault injector is active). Backoff is simulated, never slept.
   common::RetryPolicyOptions retry;
-  /// Optional circuit breaker guarding the simulated service (not owned;
-  /// null disables). Under concurrency the breaker's trip points depend
-  /// on call interleaving, so leave it null when bit-identical parallel
-  /// output matters (DESIGN.md §7).
-  common::CircuitBreaker* circuit_breaker = nullptr;
   /// Optional observability sinks (not owned; must outlive the geocoder;
   /// null disables — the pre-observability code path, byte for byte).
   /// Metrics: `geocode.queries`, `geocode.cache_hits` / `.cache_misses` /
   /// `.cache_contention` (contended stripe acquisitions), `geocode.faulted`
-  /// / `.retried` / `.breaker_rejections` / `.backoff_ms`, and the
+  /// / `.retried` / `.backoff_ms`, and the
   /// `geocode.attempts` histogram (attempts per lookup, retries included).
   /// The tracer gets one "geocode" span per lookup (DESIGN.md §8).
   obs::MetricsRegistry* metrics = nullptr;
@@ -107,7 +102,7 @@ class ReverseGeocoder {
                                   int64_t fault_index = -1);
 
   /// The study's lookup: the district alone. Same crash hook, fault
-  /// schedule, retry loop, breaker, counters and span as Reverse, but it
+  /// schedule, retry loop, counters and span as Reverse, but it
   /// renders no strings. With a finite quota, or a journal and the cache,
   /// it spends quota and consults the geohash memo exactly as Reverse
   /// does; otherwise nothing can observe either, and it skips both.
@@ -160,10 +155,6 @@ class ReverseGeocoder {
   int64_t num_faulted() const {
     return num_faulted_.load(std::memory_order_relaxed);
   }
-  /// Lookups rejected by the circuit breaker without an attempt.
-  int64_t num_breaker_rejections() const {
-    return num_breaker_rejections_.load(std::memory_order_relaxed);
-  }
   /// Total simulated backoff charged by the retry loop, in ms.
   int64_t simulated_backoff_ms() const {
     return simulated_backoff_ms_.load(std::memory_order_relaxed);
@@ -195,7 +186,7 @@ class ReverseGeocoder {
   std::unique_lock<std::mutex> LockShard(CacheShard& shard);
 
   /// One lookup of Reverse or Locate: the per-call trace span, crash
-  /// hook, fault schedule, retry loop and breaker around `direct`, the
+  /// hook, fault schedule and retry loop around `direct`, the
   /// fault-free lookup.
   template <typename Direct>
   auto Lookup(int64_t fault_index, Direct direct) -> decltype(direct());
@@ -219,7 +210,6 @@ class ReverseGeocoder {
   std::atomic<int64_t> quota_used_{0};
   std::atomic<int64_t> num_retries_{0};
   std::atomic<int64_t> num_faulted_{0};
-  std::atomic<int64_t> num_breaker_rejections_{0};
   std::atomic<int64_t> simulated_backoff_ms_{0};
   std::atomic<bool> journal_append_failed_{false};
 
@@ -232,7 +222,6 @@ class ReverseGeocoder {
   obs::Counter* m_cache_contention_ = nullptr;
   obs::Counter* m_faulted_ = nullptr;
   obs::Counter* m_retried_ = nullptr;
-  obs::Counter* m_breaker_rejections_ = nullptr;
   obs::Counter* m_backoff_ms_ = nullptr;
   obs::Histogram* m_attempts_ = nullptr;
 };

@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 
@@ -14,16 +13,6 @@
 namespace stir::io {
 
 namespace {
-
-std::atomic<int64_t> g_mapped_now{0};
-std::atomic<int64_t> g_mapped_peak{0};
-
-void AccountMap(int64_t bytes) {
-  int64_t now = g_mapped_now.fetch_add(bytes) + bytes;
-  int64_t peak = g_mapped_peak.load();
-  while (now > peak && !g_mapped_peak.compare_exchange_weak(peak, now)) {
-  }
-}
 
 size_t PageSize() {
   static const size_t kPage = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
@@ -60,7 +49,6 @@ StatusOr<MappedFile> MappedFile::Open(const std::string& path) {
       return status;
     }
     file.data_ = static_cast<const char*>(map);
-    AccountMap(static_cast<int64_t>(file.size_));
   }
   ::close(fd);  // The mapping keeps the file alive.
   return file;
@@ -79,7 +67,6 @@ MappedFile MappedFile::FromBuffer(std::unique_ptr<uint64_t[]> words,
 void MappedFile::Unmap() {
   if (data_ != nullptr && owned_ == nullptr) {
     ::munmap(const_cast<char*>(data_), size_);
-    g_mapped_now.fetch_sub(static_cast<int64_t>(size_));
   }
 }
 
@@ -107,18 +94,6 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   return *this;
 }
 
-void MappedFile::AdviseSequential() const {
-  if (data_ != nullptr) {
-    ::madvise(const_cast<char*>(data_), size_, MADV_SEQUENTIAL);
-  }
-}
-
-void MappedFile::AdviseRandom() const {
-  if (data_ != nullptr) {
-    ::madvise(const_cast<char*>(data_), size_, MADV_RANDOM);
-  }
-}
-
 void MappedFile::ReleaseRange(size_t offset, size_t length) const {
   if (data_ == nullptr || owned_ != nullptr || length == 0 ||
       offset >= size_) {
@@ -133,8 +108,5 @@ void MappedFile::ReleaseRange(size_t offset, size_t length) const {
   if (begin >= end) return;
   ::madvise(const_cast<char*>(data_ + begin), end - begin, MADV_DONTNEED);
 }
-
-int64_t MappedBytesNow() { return g_mapped_now.load(); }
-int64_t MappedBytesPeak() { return g_mapped_peak.load(); }
 
 }  // namespace stir::io

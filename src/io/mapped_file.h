@@ -13,16 +13,13 @@ namespace stir::io {
 /// Read-only memory-mapped file (RAII). The backbone of the zero-copy v3
 /// corpus reader (DESIGN.md §14): open once, hand out pointers into the
 /// mapping, and let the kernel page data in on demand so the resident set
-/// tracks the touched working set, not the file size.
-///
-/// Process-wide accounting: every live mapping contributes to
-/// MappedBytesNow()/MappedBytesPeak(), which the bench harness reports
-/// next to peak RSS to prove out-of-core behavior (RSS ≪ bytes mapped).
+/// tracks the touched working set, not the file size. The process keeps
+/// no total of mapped bytes; a caller that reports them asks its view
+/// (CorpusView::bytes_mapped, as bench_perf does).
 ///
 /// A MappedFile can instead own an in-memory image (FromBuffer): the
 /// same read-only byte range, held in process memory rather than mapped
-/// from a file. Such an image is not counted as mapped, and
-/// ReleaseRange leaves it intact.
+/// from a file. ReleaseRange leaves such an image intact.
 class MappedFile {
  public:
   /// Maps `path` read-only. IOError when the file cannot be opened or
@@ -46,10 +43,6 @@ class MappedFile {
   size_t size() const { return size_; }
   const std::string& path() const { return path_; }
 
-  /// madvise hints; best-effort (errors ignored — hints only).
-  void AdviseSequential() const;
-  void AdviseRandom() const;
-
   /// Drops the resident pages covering [offset, offset+length) back to
   /// the kernel (madvise MADV_DONTNEED; the mapping stays valid and
   /// re-faults from the file on next touch). Out-of-core shard scans call
@@ -67,11 +60,6 @@ class MappedFile {
   std::string path_;
   std::unique_ptr<uint64_t[]> owned_;  ///< Set for an in-memory image.
 };
-
-/// Bytes currently mapped / high-water mark across all live MappedFiles
-/// in this process (bench reporting; see WriteBenchJson).
-int64_t MappedBytesNow();
-int64_t MappedBytesPeak();
 
 }  // namespace stir::io
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace stir::serve {
@@ -63,18 +64,14 @@ StudyIndex StudyIndex::Build(const core::StudyResult& result,
 
   // District accumulation keyed by the display name, which sorts the
   // district table deterministically. The transparent comparator lets
-  // the keyed fast path probe with the gazetteer's display string_view
-  // without building a key string per location row.
+  // the probe below use the gazetteer's display string_view.
   std::map<std::string, DistrictBuild, std::less<>> district_builds;
 
-  // Intern-once fast path: groupings produced by core::GroupUser carry
-  // gazetteer name keys, so the display string for a district is built
-  // (and hashed into the intern pool) once per distinct key, not once
-  // per location row. The caches are lazy — the first row touching a
-  // key interns/creates at exactly the point the string path would, so
-  // the names_ pool and the district map are byte-identical to the
-  // string path's. Rows without keys (hand-assembled groupings) fall
-  // back to the original string rendering below.
+  // Every grouping comes from core::GroupUser, which sets the gazetteer
+  // name key of the profile and of each row, so a district's display
+  // string is interned (and its accumulator found) once per distinct key,
+  // not once per location row. The caches fill lazily, so the names_ pool
+  // and the district map grow in first-touch order.
   const geo::DistrictNameTable& names = db.district_names();
   std::vector<NameId> name_id_of_key(names.names.size(), kInvalidName);
   std::vector<DistrictBuild*> build_of_key(names.names.size(), nullptr);
@@ -85,8 +82,7 @@ StudyIndex StudyIndex::Build(const core::StudyResult& result,
   };
   // std::map nodes are pointer-stable, so the per-key cache can hold the
   // accumulator directly. Distinct keys whose displays collide (rare but
-  // possible: "A B"+"C" vs "A"+"B C") resolve to the same entry, exactly
-  // as the string keying merges them.
+  // possible: "A B"+"C" vs "A"+"B C") resolve to the same entry.
   auto district_build_of = [&](uint32_t key) -> DistrictBuild& {
     DistrictBuild*& cached = build_of_key[key];
     if (cached == nullptr) {
@@ -104,6 +100,8 @@ StudyIndex StudyIndex::Build(const core::StudyResult& result,
 
   index.users_.reserve(ordered.size());
   for (const core::UserGrouping* grouping : ordered) {
+    STIR_CHECK(grouping->profile_name_key != core::kInvalidNameKey)
+        << "grouping of user " << grouping->user << " has no name key";
     UserEntry entry;
     entry.user = grouping->user;
     entry.group = grouping->group;
@@ -113,54 +111,23 @@ StudyIndex StudyIndex::Build(const core::StudyResult& result,
     entry.first_location = static_cast<uint32_t>(index.locations_.size());
     entry.num_locations = static_cast<uint32_t>(grouping->ordered.size());
     entry.concentration = core::ComputeConcentration(*grouping);
-    const bool keyed = grouping->profile_name_key != core::kInvalidNameKey;
     if (!grouping->ordered.empty()) {
-      if (keyed) {
-        entry.profile_district = interned_display(grouping->profile_name_key);
-      } else {
-        const core::LocationRecord& first = grouping->ordered.front().record;
-        entry.profile_district =
-            index.Intern(first.profile_state + " " + first.profile_county);
-      }
+      entry.profile_district = interned_display(grouping->profile_name_key);
     }
     for (const core::MergedLocationString& merged : grouping->ordered) {
+      STIR_CHECK(merged.name_key != core::kInvalidNameKey)
+          << "a row of user " << grouping->user << " has no name key";
       RankedLocation location;
       location.count = merged.count;
-      DistrictBuild* build;
-      if (merged.name_key != core::kInvalidNameKey) {
-        location.district = interned_display(merged.name_key);
-        location.matched = merged.name_key == grouping->profile_name_key;
-        build = &district_build_of(merged.name_key);
-      } else {
-        const core::LocationRecord& record = merged.record;
-        std::string name = record.tweet_state + " " + record.tweet_county;
-        location.district = index.Intern(name);
-        location.matched = record.IsMatched();
-        DistrictBuild& slow = district_builds[name];
-        if (slow.users.empty() && slow.profile_users == 0) {
-          slow.state = record.tweet_state;
-          slow.county = record.tweet_county;
-        }
-        build = &slow;
-      }
+      location.district = interned_display(merged.name_key);
+      location.matched = merged.name_key == grouping->profile_name_key;
       index.locations_.push_back(location);
-      build->users.push_back(grouping->user);
-      build->gps_tweets += merged.count;
+      DistrictBuild& build = district_build_of(merged.name_key);
+      build.users.push_back(grouping->user);
+      build.gps_tweets += merged.count;
     }
     if (!grouping->ordered.empty()) {
-      if (keyed) {
-        ++district_build_of(grouping->profile_name_key).profile_users;
-      } else {
-        const core::LocationRecord& first = grouping->ordered.front().record;
-        std::string profile_name =
-            first.profile_state + " " + first.profile_county;
-        DistrictBuild& build = district_builds[profile_name];
-        if (build.users.empty() && build.profile_users == 0) {
-          build.state = first.profile_state;
-          build.county = first.profile_county;
-        }
-        ++build.profile_users;
-      }
+      ++district_build_of(grouping->profile_name_key).profile_users;
     }
     index.user_ids_.emplace(entry.user,
                             static_cast<uint32_t>(index.users_.size()));

@@ -74,6 +74,8 @@ class StudyIndex {
   /// only read during Build and not retained. `result.incomplete` runs
   /// (a crashed study that has not been resumed to completion) are
   /// rejected by returning an empty index — callers check via empty().
+  /// Every grouping must come from core::GroupUser, which sets the
+  /// profile's and each row's gazetteer name key (checked).
   static StudyIndex Build(const core::StudyResult& result,
                           const geo::AdminDb& db);
 

@@ -37,21 +37,9 @@ StatusOr<std::vector<const Tweet*>> SearchApi::Search(
   int64_t fault_index = fault->NextIndex();
   int attempts = 0;
   for (;;) {
-    if (options_.circuit_breaker != nullptr &&
-        !options_.circuit_breaker->AllowRequest()) {
-      return Status::Unavailable("search API circuit breaker open");
-    }
     common::FaultDecision decision = fault->Decide(fault_index, attempts);
     ++attempts;
-    if (decision.status.ok()) {
-      if (options_.circuit_breaker != nullptr) {
-        options_.circuit_breaker->RecordSuccess();
-      }
-      return SearchDirect(query);
-    }
-    if (options_.circuit_breaker != nullptr) {
-      options_.circuit_breaker->RecordFailure();
-    }
+    if (decision.status.ok()) return SearchDirect(query);
     if (!retry_policy_.ShouldRetry(decision.status, attempts)) {
       num_faulted_.fetch_add(1, std::memory_order_relaxed);
       return decision.status;

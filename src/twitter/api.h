@@ -38,8 +38,6 @@ struct SearchApiOptions {
   common::FaultInjector* fault_injector = nullptr;
   /// Retry schedule for injected transient failures (simulated backoff).
   common::RetryPolicyOptions retry;
-  /// Optional circuit breaker (not owned; null disables).
-  common::CircuitBreaker* circuit_breaker = nullptr;
 };
 
 /// Search endpoint over a Dataset's materialized tweets: recency-ordered,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "twitter/generator.h"
 
 namespace stir::geo {
@@ -323,13 +324,14 @@ TEST(AdminDbTest, LocateStaysExactWhenTheGridWouldOutgrowItsCap) {
   // Two centroids a metre apart set a sub-metre cell size over a box
   // hundreds of kilometres wide; the raster coarsens to its cell cap and
   // stays exact.
-  std::vector<Region> regions(3);
-  regions[0].centroid = {37.5, 127.0};
-  regions[1].centroid = {37.50001, 127.0};
-  regions[2].centroid = {33.5, 126.5};
-  for (size_t i = 0; i < regions.size(); ++i) {
-    regions[i].state = "S";
-    regions[i].county = "C" + std::to_string(i);
+  std::vector<Region> regions;
+  for (LatLng centroid : {LatLng{37.5, 127.0}, LatLng{37.50001, 127.0},
+                          LatLng{33.5, 126.5}}) {
+    Region region;
+    region.state = "S";
+    region.county = StrFormat("C%zu", regions.size());
+    region.centroid = centroid;
+    regions.push_back(std::move(region));
   }
   const AdminDb db(regions, 25.0);
   EXPECT_LE(static_cast<int64_t>(db.raster().rows()) * db.raster().cols(),

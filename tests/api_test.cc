@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/string_util.h"
 
 namespace stir::twitter {
 namespace {
@@ -16,7 +17,7 @@ Dataset SmallDataset() {
   for (UserId u = 1; u <= 3; ++u) {
     User user;
     user.id = u;
-    user.handle = "u" + std::to_string(u);
+    user.handle = StrFormat("u%lld", static_cast<long long>(u));
     user.total_tweets = 10;
     dataset.AddUser(user);
   }

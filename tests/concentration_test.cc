@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/study.h"
 #include "twitter/generator.h"
 
@@ -16,16 +17,12 @@ UserGrouping GroupingWithCounts(twitter::UserId user,
   grouping.match_rank = match_rank;
   grouping.group = GroupForRank(match_rank);
   for (size_t i = 0; i < counts.size(); ++i) {
+    const bool matched =
+        match_rank > 0 && static_cast<int>(i) == match_rank - 1;
     MergedLocationString merged;
-    merged.record.user = user;
-    merged.record.profile_state = "S";
-    merged.record.profile_county = "P";
-    merged.record.tweet_state = "S";
-    merged.record.tweet_county = "C" + std::to_string(i);
-    if (match_rank > 0 && static_cast<int>(i) == match_rank - 1) {
-      merged.record.tweet_county = "P";  // the matched row
-      grouping.matched_tweet_count = counts[i];
-    }
+    merged.record = LocationRecord{user, "S", "P", "S",
+                                   matched ? "P" : StrFormat("C%zu", i)};
+    if (matched) grouping.matched_tweet_count = counts[i];
     merged.count = counts[i];
     grouping.gps_tweet_count += counts[i];
     grouping.ordered.push_back(std::move(merged));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
+
 namespace stir::core {
 namespace {
 
@@ -120,7 +122,7 @@ TEST(MergeAndOrderTest, TieBreakPreservesCountsAndMembership) {
   std::vector<LocationRecord> records;
   for (int i = 0; i < 30; ++i) {
     records.push_back(MakeRecord(3, "Seoul", "Mapo-gu", "Seoul",
-                                 "C" + std::to_string(i % 7)));
+                                 StrFormat("C%d", i % 7)));
   }
   auto lex = MergeAndOrder(records, TieBreak::kLexicographic);
   auto rev = MergeAndOrder(records, TieBreak::kReverseLexicographic);

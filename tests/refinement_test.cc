@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/study_config.h"
 #include "geo/geohash.h"
 #include "io/corpus.h"
@@ -21,7 +22,7 @@ class RefinementTest : public ::testing::Test {
                          int64_t total = 10) {
     twitter::User user;
     user.id = id;
-    user.handle = "u" + std::to_string(id);
+    user.handle = StrFormat("u%lld", static_cast<long long>(id));
     user.profile_location = location;
     user.total_tweets = total;
     return user;

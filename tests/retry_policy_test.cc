@@ -1,13 +1,9 @@
 // RetryPolicy: exact backoff schedule, deterministic jitter, and the
-// retryable-status classification. CircuitBreaker: the closed -> open ->
-// half-open state machine at its configured thresholds.
+// retryable-status classification.
 
 #include "common/retry.h"
 
 #include <gtest/gtest.h>
-
-#include "common/fault.h"
-#include "geo/reverse_geocoder.h"
 
 namespace stir::common {
 namespace {
@@ -87,125 +83,6 @@ TEST(RetryPolicyTest, JitterIsBoundedAndDeterministic) {
     differing += other.BackoffMs(1, key) != policy.BackoffMs(1, key);
   }
   EXPECT_GT(differing, 150);
-}
-
-TEST(CircuitBreakerTest, OpensAfterConsecutiveFailureThreshold) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 3;
-  CircuitBreaker breaker(options);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  breaker.RecordFailure();
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.AllowRequest());
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.AllowRequest());
-  EXPECT_EQ(breaker.times_opened(), 1);
-}
-
-TEST(CircuitBreakerTest, SuccessResetsTheConsecutiveCount) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 3;
-  CircuitBreaker breaker(options);
-  breaker.RecordFailure();
-  breaker.RecordFailure();
-  breaker.RecordSuccess();  // streak broken
-  breaker.RecordFailure();
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-}
-
-TEST(CircuitBreakerTest, HalfOpensAfterCooldownAndClosesOnSuccesses) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 1;
-  options.cooldown_rejections = 4;
-  options.success_threshold = 2;
-  CircuitBreaker breaker(options);
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  // Rejections 1..3 stay open; the 4th flips to half-open (probe next).
-  EXPECT_FALSE(breaker.AllowRequest());
-  EXPECT_FALSE(breaker.AllowRequest());
-  EXPECT_FALSE(breaker.AllowRequest());
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.AllowRequest());
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_EQ(breaker.rejected(), 4);
-  // Two probe successes close it.
-  EXPECT_TRUE(breaker.AllowRequest());
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_TRUE(breaker.AllowRequest());
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-}
-
-TEST(CircuitBreakerTest, HalfOpenFailureReopensImmediately) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 2;
-  options.cooldown_rejections = 1;
-  CircuitBreaker breaker(options);
-  breaker.RecordFailure();
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.AllowRequest());  // cooldown of 1 -> half-open
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  breaker.RecordFailure();  // probe failed
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.times_opened(), 2);
-}
-
-TEST(CircuitBreakerTest, StateNames) {
-  EXPECT_STREQ(CircuitBreakerStateToString(CircuitBreaker::State::kClosed),
-               "closed");
-  EXPECT_STREQ(CircuitBreakerStateToString(CircuitBreaker::State::kOpen),
-               "open");
-  EXPECT_STREQ(CircuitBreakerStateToString(CircuitBreaker::State::kHalfOpen),
-               "half-open");
-}
-
-// Breaker wired into the geocoder: a hard outage trips it open, rejected
-// lookups are counted without touching the service, and it recovers once
-// the outage window has passed.
-TEST(CircuitBreakerTest, GeocoderTripsAndRecoversAcrossAnOutage) {
-  const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
-  FaultInjectorOptions fault_options;
-  fault_options.burst_start = 0;
-  fault_options.burst_length = 10;  // indices 0..9 are a hard outage
-  FaultInjector injector(fault_options);
-  CircuitBreakerOptions breaker_options;
-  breaker_options.failure_threshold = 3;
-  breaker_options.cooldown_rejections = 2;
-  breaker_options.success_threshold = 1;
-  CircuitBreaker breaker(breaker_options);
-
-  geo::ReverseGeocoderOptions options;
-  options.fault_injector = &injector;
-  options.circuit_breaker = &breaker;
-  options.retry.max_attempts = 1;  // isolate the breaker behaviour
-  geo::ReverseGeocoder geocoder(&db, options);
-
-  Rng rng(5);
-  geo::LatLng point = db.SamplePointIn(0, rng);
-  int64_t queries_before = geocoder.num_queries();
-  // Outage: 3 real failures trip the breaker; later lookups are rejected
-  // without reaching the injector/service.
-  for (int64_t i = 0; i < 10; ++i) {
-    EXPECT_FALSE(geocoder.Reverse(point, i).ok());
-  }
-  EXPECT_GT(geocoder.num_breaker_rejections(), 0);
-  EXPECT_EQ(geocoder.num_queries(), queries_before);  // never reached it
-  // Past the outage the breaker half-opens and the first good probe
-  // closes it again.
-  bool recovered = false;
-  for (int64_t i = 10; i < 20; ++i) {
-    recovered |= geocoder.Reverse(point, i).ok();
-  }
-  EXPECT_TRUE(recovered);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
 }
 
 }  // namespace

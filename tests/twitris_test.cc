@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/string_util.h"
 
 namespace stir::event {
 namespace {
@@ -14,7 +15,7 @@ class TwitrisTest : public ::testing::Test {
   void AddUser(twitter::UserId id, const std::string& location) {
     twitter::User user;
     user.id = id;
-    user.handle = "u" + std::to_string(id);
+    user.handle = StrFormat("u%lld", static_cast<long long>(id));
     user.profile_location = location;
     user.total_tweets = 10;
     dataset_.AddUser(user);

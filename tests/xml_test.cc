@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
+
 namespace stir {
 namespace {
 
@@ -87,14 +89,14 @@ TEST(XmlTest, DeepNestingRoundTrip) {
   XmlNode root("l0");
   XmlNode* current = &root;
   for (int i = 1; i < 20; ++i) {
-    current = &current->AddChild("l" + std::to_string(i));
+    current = &current->AddChild(StrFormat("l%d", i));
   }
   current->set_text("bottom");
   auto parsed = ParseXml(root.ToString());
   ASSERT_TRUE(parsed.ok());
   const XmlNode* walker = parsed->get();
   for (int i = 1; i < 20; ++i) {
-    walker = walker->FindChild("l" + std::to_string(i));
+    walker = walker->FindChild(StrFormat("l%d", i));
     ASSERT_NE(walker, nullptr);
   }
   EXPECT_EQ(walker->text(), "bottom");
