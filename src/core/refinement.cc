@@ -57,15 +57,16 @@ RefinementPipeline::RefinementPipeline(const text::LocationParser* parser,
 }
 
 StatusOr<geo::RegionId> RefinementPipeline::Geocode(
-    const geo::LatLng& point, int64_t fault_index) const {
+    const geo::LatLng& point, int64_t fault_index,
+    geo::RetryCharge* charge) const {
   if (!options_.faithful_xml_pipeline) {
-    return geocoder_->Locate(point, fault_index);
+    return geocoder_->Locate(point, fault_index, charge);
   }
   // Faithful mode: serialize the response to XML, parse it back, and
   // resolve the (state, county) pair against the gazetteer — exactly the
   // dance the original study performed against the Yahoo Open API.
   STIR_ASSIGN_OR_RETURN(std::string xml,
-                        geocoder_->ReverseToXml(point, fault_index));
+                        geocoder_->ReverseToXml(point, fault_index, charge));
   STIR_ASSIGN_OR_RETURN(geo::GeocodeResult parsed,
                         geo::ReverseGeocoder::ParseResponse(xml));
   return geocoder_->db().FindCounty(parsed.state, parsed.county);
@@ -99,14 +100,9 @@ TweetFold RefinementPipeline::FoldTweet(const geo::LatLng& gps,
                                         int64_t fault_index,
                                         geo::RegionId profile_region) const {
   TweetFold fold;
-  // Retry/backoff charges are attributed per fold by sampling this
-  // thread's cumulative geocoder counters around the lookup (a fold runs
-  // entirely on one thread). Fold deltas sum to the same totals whether
-  // they are sampled per tweet, per user, or per run, so checkpoints and
-  // streaming epochs all carry exact counters.
-  geo::ReverseGeocoder::ThreadRetryStats retry_before =
-      geo::ReverseGeocoder::CurrentThreadRetryStats();
-  auto region = Geocode(gps, fault_index);
+  // The lookup returns its own retry/backoff charges, so per-fold sums
+  // are exact per user, per epoch or per run, on any thread.
+  auto region = Geocode(gps, fault_index, &fold.charge);
   if (region.ok()) {
     fold.region = *region;
   } else if (IsTransientServiceFault(region.status())) {
@@ -119,10 +115,6 @@ TweetFold RefinementPipeline::FoldTweet(const geo::LatLng& gps,
       }
     }
   }
-  geo::ReverseGeocoder::ThreadRetryStats retry_after =
-      geo::ReverseGeocoder::CurrentThreadRetryStats();
-  fold.retries = retry_after.retries - retry_before.retries;
-  fold.backoff_ms = retry_after.backoff_ms - retry_before.backoff_ms;
   return fold;
 }
 
@@ -130,8 +122,8 @@ void RefinementPipeline::ApplyFold(const TweetFold& fold, FunnelStats* stats,
                                    std::vector<geo::RegionId>* regions) {
   if (fold.faulted) ++stats->geocode_faulted;
   if (fold.degraded) ++stats->geocode_degraded;
-  stats->geocode_retried += fold.retries;
-  stats->backoff_ms += fold.backoff_ms;
+  stats->geocode_retried += fold.charge.retries;
+  stats->backoff_ms += fold.charge.backoff_ms;
   if (fold.region == geo::kInvalidRegion) {
     ++stats->geocode_failures;
   } else {
@@ -356,9 +348,9 @@ std::vector<RefinedUser> RefinementPipeline::Run(
     }
   }
 
-  // Retry/backoff totals are accumulated per user inside RefineUser (see
-  // the thread-local sampling there); for a fresh geocoder they equal its
-  // num_retries()/simulated_backoff_ms() totals.
+  // Retry/backoff totals are sums of the per-lookup charges folded in
+  // RefineUser; for a fresh geocoder they equal its geocode.retried and
+  // geocode.backoff_ms counters.
   stats.fault_injection_enabled = geocoder_->fault_injection_enabled();
   if (metrics_ != nullptr) PublishFunnelMetrics(stats);
   return refined;

@@ -113,8 +113,7 @@ struct TweetFold {
   /// Faulted but salvaged by the degraded text-fallback path.
   bool degraded = false;
   /// Retry attempts and simulated backoff charged by this fold.
-  int64_t retries = 0;
-  int64_t backoff_ms = 0;
+  geo::RetryCharge charge;
 };
 
 /// The §III.B refinement pipeline: parse profile locations, drop vague /
@@ -159,9 +158,9 @@ class RefinementPipeline {
 
   /// Folds one GPS tweet: geocode (with `fault_index` as the stable fault
   /// key), degraded-mode salvage against `profile_region`, and the retry /
-  /// backoff delta sampled from this thread's geocoder counters. Both the
-  /// batch RefineUser loop and the incremental stream engine are sums of
-  /// these folds, which is what makes them byte-equivalent.
+  /// backoff the geocoder charged that one lookup. Both the batch
+  /// RefineUser loop and the incremental stream engine are sums of these
+  /// folds, which is what makes them byte-equivalent.
   TweetFold FoldTweet(const twitter::Tweet& tweet, int64_t fault_index,
                       geo::RegionId profile_region) const;
 
@@ -182,8 +181,10 @@ class RefinementPipeline {
  private:
   /// `fault_index` is the tweet's global dataset index — a stable,
   /// thread-count-independent key for the geocoder's fault schedule.
+  /// `charge` receives the lookup's retries and simulated backoff.
   StatusOr<geo::RegionId> Geocode(const geo::LatLng& point,
-                                  int64_t fault_index) const;
+                                  int64_t fault_index,
+                                  geo::RetryCharge* charge) const;
 
   /// Degraded-mode salvage: district named in the tweet text, if any
   /// (see RefinementOptions::degraded_text_fallback). kInvalidRegion

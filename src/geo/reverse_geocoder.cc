@@ -11,13 +11,6 @@ namespace stir::geo {
 
 namespace {
 
-/// Per-thread retry accounting (see CurrentThreadRetryStats). Each shard
-/// of the refinement pipeline runs on exactly one worker thread, so
-/// sampling these around a user's tweets yields that user's exact retry
-/// and backoff charges with no atomics on the hot path.
-thread_local int64_t t_retries = 0;
-thread_local int64_t t_backoff_ms = 0;
-
 /// Deterministic pseudo-town (dong-level) name for a point inside a
 /// county. The original API returned a real <town>; the study never uses
 /// it, but keeping the element exercises the full response schema.
@@ -84,10 +77,6 @@ std::unique_lock<std::mutex> ReverseGeocoder::LockShard(CacheShard& shard) {
   return lock;
 }
 
-ReverseGeocoder::ThreadRetryStats ReverseGeocoder::CurrentThreadRetryStats() {
-  return ThreadRetryStats{t_retries, t_backoff_ms};
-}
-
 void ReverseGeocoder::PreloadCache(std::string_view cache_key,
                                    const GeocodeResult& result) {
   if (!options_.enable_cache) return;
@@ -97,9 +86,10 @@ void ReverseGeocoder::PreloadCache(std::string_view cache_key,
 }
 
 template <typename Direct>
-auto ReverseGeocoder::Lookup(int64_t fault_index, Direct direct)
-    -> decltype(direct()) {
+auto ReverseGeocoder::Lookup(int64_t fault_index, RetryCharge* charge,
+                             Direct direct) -> decltype(direct()) {
   obs::Tracer::ScopedSpan span(options_.tracer, "geocode");
+  if (charge != nullptr) *charge = RetryCharge{};
   common::FaultInjector* fault = options_.fault_injector;
   // The crash hook fires before any fault/cache logic so "Nth lookup"
   // means the same thing whether or not fault knobs are active.
@@ -121,30 +111,31 @@ auto ReverseGeocoder::Lookup(int64_t fault_index, Direct direct)
       return direct();
     }
     if (!retry_policy_.ShouldRetry(decision.status, attempts)) {
-      num_faulted_.fetch_add(1, std::memory_order_relaxed);
       obs::IncrementCounter(m_faulted_);
       obs::RecordSample(m_attempts_, attempts);
       return decision.status;
     }
-    num_retries_.fetch_add(1, std::memory_order_relaxed);
-    ++t_retries;
-    obs::IncrementCounter(m_retried_);
     int64_t backoff = retry_policy_.BackoffMs(
         attempts, static_cast<uint64_t>(fault_index));
-    simulated_backoff_ms_.fetch_add(backoff, std::memory_order_relaxed);
-    t_backoff_ms += backoff;
+    if (charge != nullptr) {
+      ++charge->retries;
+      charge->backoff_ms += backoff;
+    }
+    obs::IncrementCounter(m_retried_);
     obs::IncrementCounter(m_backoff_ms_, backoff);
   }
 }
 
 StatusOr<GeocodeResult> ReverseGeocoder::Reverse(const LatLng& point,
-                                                 int64_t fault_index) {
-  return Lookup(fault_index, [&] { return ReverseDirect(point); });
+                                                 int64_t fault_index,
+                                                 RetryCharge* charge) {
+  return Lookup(fault_index, charge, [&] { return ReverseDirect(point); });
 }
 
 StatusOr<RegionId> ReverseGeocoder::Locate(const LatLng& point,
-                                           int64_t fault_index) {
-  return Lookup(fault_index, [&] { return LocateDirect(point); });
+                                           int64_t fault_index,
+                                           RetryCharge* charge) {
+  return Lookup(fault_index, charge, [&] { return LocateDirect(point); });
 }
 
 StatusOr<RegionId> ReverseGeocoder::LocateDirect(const LatLng& point) {
@@ -153,13 +144,11 @@ StatusOr<RegionId> ReverseGeocoder::LocateDirect(const LatLng& point) {
     return result.region;
   }
   // Nothing can observe the memo or the spent quota, so neither is kept.
-  num_queries_.fetch_add(1, std::memory_order_relaxed);
   obs::IncrementCounter(m_queries_);
   return db_->Locate(point);
 }
 
 StatusOr<GeocodeResult> ReverseGeocoder::ReverseDirect(const LatLng& point) {
-  num_queries_.fetch_add(1, std::memory_order_relaxed);
   obs::IncrementCounter(m_queries_);
   if (!point.IsValid()) {
     return Status::InvalidArgument("invalid coordinate: " + point.ToString());
@@ -172,7 +161,6 @@ StatusOr<GeocodeResult> ReverseGeocoder::ReverseDirect(const LatLng& point) {
     std::unique_lock<std::mutex> lock = LockShard(shard);
     auto it = shard.map.find(cache_key);
     if (it != shard.map.end()) {
-      num_cache_hits_.fetch_add(1, std::memory_order_relaxed);
       obs::IncrementCounter(m_cache_hits_);
       return it->second;
     }
@@ -223,8 +211,9 @@ StatusOr<GeocodeResult> ReverseGeocoder::ReverseDirect(const LatLng& point) {
 }
 
 StatusOr<std::string> ReverseGeocoder::ReverseToXml(const LatLng& point,
-                                                    int64_t fault_index) {
-  STIR_ASSIGN_OR_RETURN(GeocodeResult r, Reverse(point, fault_index));
+                                                    int64_t fault_index,
+                                                    RetryCharge* charge) {
+  STIR_ASSIGN_OR_RETURN(GeocodeResult r, Reverse(point, fault_index, charge));
   XmlNode root("ResultSet");
   root.AddAttribute("version", "1.0");
   XmlNode& result = root.AddChild("Result");

@@ -31,6 +31,14 @@ struct GeocodeResult {
   RegionId region = kInvalidRegion;
 };
 
+/// What the retry loop charged one lookup: attempts retried after an
+/// injected transient fault, and the simulated backoff they cost (both
+/// zero without an active fault injector).
+struct RetryCharge {
+  int64_t retries = 0;
+  int64_t backoff_ms = 0;
+};
+
 /// Geohash precision of the memo's cache keys: 7 chars is ~±76 m, far
 /// below district size.
 inline constexpr int kGeocodeCachePrecision = 7;
@@ -78,10 +86,12 @@ struct ReverseGeocoderOptions {
 /// original study (and are what the faithful-mode pipeline exercises).
 ///
 /// Thread-safe: the memoization cache is striped across mutex-guarded
-/// shards (selected by cache-key hash), and the query/hit/quota counters
-/// are atomics, so the parallel study pipeline can share one instance
-/// across worker threads. Quota is enforced with a CAS loop, so concurrent
-/// lookups never spend more than `options.quota` total.
+/// shards (selected by cache-key hash) and the spent quota is an atomic,
+/// so the parallel study pipeline can share one instance across worker
+/// threads. Quota is enforced with a CAS loop, so concurrent lookups
+/// never spend more than `options.quota` total. Query, hit and fault
+/// totals live in the attached registry (`geocode.*`); each lookup's
+/// retry charges come back through its `charge` out-parameter.
 class ReverseGeocoder {
  public:
   /// `db` must outlive the geocoder.
@@ -97,9 +107,11 @@ class ReverseGeocoder {
   /// pipeline passes the tweet's dataset index) get fault placement that
   /// is bit-identical across thread counts. The default (-1) claims the
   /// injector's next sequence index, which is deterministic for serial
-  /// call sites only.
+  /// call sites only. A non-null `charge` receives this lookup's retries
+  /// and simulated backoff.
   StatusOr<GeocodeResult> Reverse(const LatLng& point,
-                                  int64_t fault_index = -1);
+                                  int64_t fault_index = -1,
+                                  RetryCharge* charge = nullptr);
 
   /// The study's lookup: the district alone. Same crash hook, fault
   /// schedule, retry loop, counters and span as Reverse, but it
@@ -109,11 +121,13 @@ class ReverseGeocoder {
   /// Without the memo each point gets its own nearest district, in any
   /// lookup order; with it, two points of one geohash cell share
   /// whichever answer came first (DESIGN.md §17).
-  StatusOr<RegionId> Locate(const LatLng& point, int64_t fault_index = -1);
+  StatusOr<RegionId> Locate(const LatLng& point, int64_t fault_index = -1,
+                            RetryCharge* charge = nullptr);
 
   /// Same lookup rendered as the Yahoo-shaped XML document.
   StatusOr<std::string> ReverseToXml(const LatLng& point,
-                                     int64_t fault_index = -1);
+                                     int64_t fault_index = -1,
+                                     RetryCharge* charge = nullptr);
 
   /// Pre-warms the memoization cache with a previously-resolved entry
   /// (journal replay). First writer wins on duplicate keys; no-op with
@@ -121,44 +135,13 @@ class ReverseGeocoder {
   /// and are not re-journaled.
   void PreloadCache(std::string_view cache_key, const GeocodeResult& result);
 
-  /// Per-thread retry accounting, cumulative over this thread's lifetime.
-  /// The refinement pipeline samples deltas around each user so
-  /// checkpoints can attribute retries/backoff to completed users exactly
-  /// (each shard runs on a single worker thread; DESIGN.md §9).
-  struct ThreadRetryStats {
-    int64_t retries = 0;
-    int64_t backoff_ms = 0;
-  };
-  static ThreadRetryStats CurrentThreadRetryStats();
-
   /// Parses a ReverseToXml document back into a GeocodeResult (region id
   /// is not recovered; resolve it against an AdminDb if needed).
   static StatusOr<GeocodeResult> ParseResponse(std::string_view xml);
 
-  /// Query accounting (atomic snapshots; totals are exact once all
-  /// concurrent callers have returned).
-  int64_t num_queries() const {
-    return num_queries_.load(std::memory_order_relaxed);
-  }
-  int64_t num_cache_hits() const {
-    return num_cache_hits_.load(std::memory_order_relaxed);
-  }
+  /// Lookups left under a finite quota (-1 when unlimited).
   int64_t quota_remaining() const;
   void ResetQuota();
-
-  /// Fault-path accounting (all zero unless a fault injector is active).
-  /// Retry attempts performed after an injected transient failure.
-  int64_t num_retries() const {
-    return num_retries_.load(std::memory_order_relaxed);
-  }
-  /// Lookups that failed with an injected fault after exhausting retries.
-  int64_t num_faulted() const {
-    return num_faulted_.load(std::memory_order_relaxed);
-  }
-  /// Total simulated backoff charged by the retry loop, in ms.
-  int64_t simulated_backoff_ms() const {
-    return simulated_backoff_ms_.load(std::memory_order_relaxed);
-  }
 
   const AdminDb& db() const { return *db_; }
 
@@ -187,9 +170,10 @@ class ReverseGeocoder {
 
   /// One lookup of Reverse or Locate: the per-call trace span, crash
   /// hook, fault schedule and retry loop around `direct`, the
-  /// fault-free lookup.
+  /// fault-free lookup. Fills a non-null `charge`.
   template <typename Direct>
-  auto Lookup(int64_t fault_index, Direct direct) -> decltype(direct());
+  auto Lookup(int64_t fault_index, RetryCharge* charge, Direct direct)
+      -> decltype(direct());
 
   /// The fault-free lookup (cache, quota, AdminDb) — the pre-fault-layer
   /// behaviour, byte for byte.
@@ -205,12 +189,7 @@ class ReverseGeocoder {
   bool metered_;
   common::RetryPolicy retry_policy_;
   CacheShard cache_shards_[kCacheShards];
-  std::atomic<int64_t> num_queries_{0};
-  std::atomic<int64_t> num_cache_hits_{0};
   std::atomic<int64_t> quota_used_{0};
-  std::atomic<int64_t> num_retries_{0};
-  std::atomic<int64_t> num_faulted_{0};
-  std::atomic<int64_t> simulated_backoff_ms_{0};
   std::atomic<bool> journal_append_failed_{false};
 
   // Observability handles, resolved once at construction (all null when

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -232,16 +231,12 @@ InferenceIndex InferenceIndex::Build(const twitter::Dataset& dataset,
                                      const geo::AdminDb& db) {
   EvidenceBuilder builder(&db);
   builder.Reserve(dataset.users().size());
-  std::unordered_map<twitter::UserId, uint32_t> slot_of;
-  slot_of.reserve(dataset.users().size());
-  const auto slot = [&](twitter::UserId user) {
-    auto [it, added] = slot_of.try_emplace(user, 0);
-    if (added) it->second = builder.AddUser(user);
-    return it->second;
-  };
-  for (const twitter::User& user : dataset.users()) slot(user.id);
+  // Users register in dataset order, so a user's slot is its row.
+  for (const twitter::User& user : dataset.users()) builder.AddUser(user.id);
   for (const twitter::Tweet& tweet : dataset.tweets()) {
-    builder.AddTweet(slot(tweet.user), tweet);
+    builder.AddTweet(static_cast<uint32_t>(dataset.FindUser(tweet.user) -
+                                           dataset.users().data()),
+                     tweet);
   }
   return builder.Snapshot();
 }

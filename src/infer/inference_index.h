@@ -196,8 +196,7 @@ class InferenceIndex {
  public:
   /// Batch build over a row-oriented dataset: one EvidenceBuilder fed in
   /// dataset order, the serial reference the sharded build is compared
-  /// against. A tweet of a user the dataset does not list registers that
-  /// user.
+  /// against.
   static InferenceIndex Build(const twitter::Dataset& dataset,
                               const geo::AdminDb& db);
   /// Batch build over a zero-copy v3 corpus view (no materialization),

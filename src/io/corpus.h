@@ -297,8 +297,8 @@ class CorpusView {
                             arena_offsets_[id + 1] - arena_offsets_[id]);
   }
 
-  /// Materializes one tweet (tests / ad-hoc tooling; the hot paths read
-  /// columns directly).
+  /// Materializes one tweet (the stream engine's pre-ingest and tests;
+  /// the batch paths read columns directly).
   twitter::Tweet MaterializeTweet(size_t row) const;
 
   /// Returns the resident pages of the tweet columns covering rows

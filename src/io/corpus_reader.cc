@@ -95,40 +95,10 @@ StatusOr<CorpusReader> CorpusReader::Open(const CorpusSpec& spec) {
                                     spec.tsv, &reader.tsv_stats_));
       STIR_ASSIGN_OR_RETURN(reader.view_, CorpusView::FromDataset(dataset));
       reader.format_ = CorpusFormat::kTsv;
-      reader.dataset_ = std::move(dataset);
       return reader;
     }
   }
   return Status::Internal("unreachable corpus format");
-}
-
-StatusOr<const twitter::Dataset*> CorpusReader::Materialize() {
-  if (!dataset_) {
-    STIR_ASSIGN_OR_RETURN(twitter::Dataset dataset, MaterializeDataset(view_));
-    dataset_ = std::move(dataset);
-  }
-  return &*dataset_;
-}
-
-StatusOr<twitter::Dataset> MaterializeDataset(const CorpusView& view) {
-  twitter::Dataset dataset;
-  for (size_t row = 0; row < view.user_count(); ++row) {
-    twitter::User user;
-    user.id = view.user_id(row);
-    user.handle = std::string(view.user_handle(row));
-    user.profile_location = std::string(view.user_profile_location(row));
-    user.total_tweets = view.user_total_tweets(row);
-    if (dataset.FindUser(user.id) != nullptr) {
-      return Status::InvalidArgument("corpus " + view.path() +
-                                     ": duplicate user id " +
-                                     std::to_string(user.id));
-    }
-    dataset.AddUser(std::move(user));
-  }
-  for (size_t row = 0; row < view.tweet_count(); ++row) {
-    dataset.AddTweet(view.MaterializeTweet(row));
-  }
-  return dataset;
 }
 
 }  // namespace stir::io

@@ -1,7 +1,6 @@
 #ifndef STIR_IO_CORPUS_READER_H_
 #define STIR_IO_CORPUS_READER_H_
 
-#include <optional>
 #include <string>
 
 #include "common/status.h"
@@ -33,9 +32,10 @@ struct CorpusSpec {
 
 /// One façade over every corpus load path (DESIGN.md §14). Every format
 /// opens into a CorpusView: a v3 corpus zero-copy off its mapping, a TSV
-/// pair decoded and encoded into an in-memory arena image. The batch
-/// study and the inference build read that view; a row-oriented Dataset
-/// is only materialized on demand (the stream engine ingests rows).
+/// pair decoded into a Dataset, encoded into an in-memory arena image and
+/// then dropped. The batch study, the inference build and the stream
+/// engine's pre-ingest all read that view; the reader keeps no
+/// row-oriented Dataset.
 ///
 ///   STIR_ASSIGN_OR_RETURN(auto reader, CorpusReader::Open(spec));
 ///   RunStudy(reader.view());
@@ -53,15 +53,6 @@ class CorpusReader {
 
   const CorpusView& view() const { return view_; }
 
-  /// The row-oriented dataset: the decoded TSV pair, or a v3 corpus once
-  /// Materialize() has run; nullptr otherwise.
-  const twitter::Dataset* dataset() const {
-    return dataset_ ? &*dataset_ : nullptr;
-  }
-
-  /// Materializes (for v3) and returns the row-oriented dataset.
-  StatusOr<const twitter::Dataset*> Materialize();
-
   /// Quarantine counts from the TSV decoder (zero for v3).
   const twitter::Dataset::TsvLoadStats& tsv_stats() const {
     return tsv_stats_;
@@ -78,16 +69,9 @@ class CorpusReader {
  private:
   CorpusFormat format_ = CorpusFormat::kTsv;
   CorpusView view_;
-  std::optional<twitter::Dataset> dataset_;
   twitter::Dataset::TsvLoadStats tsv_stats_;
   std::string truth_path_;  ///< Empty when no sidecar was found.
 };
-
-/// Decodes a v3 view into a row-oriented Dataset (field-identical to the
-/// corpus the writer ingested, in the same order). InvalidArgument on
-/// referential corruption a crafted file could smuggle past structural
-/// checks (duplicate user ids).
-StatusOr<twitter::Dataset> MaterializeDataset(const CorpusView& view);
 
 }  // namespace stir::io
 

@@ -26,21 +26,6 @@ ParseOutcome Failure(ErrorCode code, std::string message, bool has_id = false,
   return outcome;
 }
 
-/// Envelope prefix shared by success and error responses.
-void BeginResponse(JsonWriter* w, int64_t id, bool has_id, bool ok) {
-  w->BeginObject();
-  w->Key("v");
-  w->Int(kProtocolVersion);
-  w->Key("id");
-  if (has_id) {
-    w->Int(id);
-  } else {
-    w->Null();
-  }
-  w->Key("ok");
-  w->Bool(ok);
-}
-
 std::string NotFoundResponse(int64_t id, std::string_view message) {
   return ErrorResponse(true, id, ErrorCode::kNotFound, message);
 }
@@ -466,6 +451,20 @@ const char* ErrorCodeToString(ErrorCode code) {
     case ErrorCode::kLowConfidence: return "low_confidence";
   }
   return "internal";
+}
+
+void BeginResponse(JsonWriter* w, int64_t id, bool has_id, bool ok) {
+  w->BeginObject();
+  w->Key("v");
+  w->Int(kProtocolVersion);
+  w->Key("id");
+  if (has_id) {
+    w->Int(id);
+  } else {
+    w->Null();
+  }
+  w->Key("ok");
+  w->Bool(ok);
 }
 
 std::string ErrorResponse(bool has_id, int64_t id, ErrorCode code,

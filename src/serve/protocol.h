@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "infer/home_inferrer.h"
+#include "obs/json.h"
 #include "serve/study_index.h"
 #include "twitter/model.h"
 
@@ -147,6 +148,10 @@ struct ParseOutcome {
 /// wrong value types, bad versions, unknown methods, and out-of-range
 /// params. Deterministic: identical lines yield identical outcomes.
 ParseOutcome ParseRequest(std::string_view line, size_t max_bytes);
+
+/// Opens a response object and writes the envelope every response line
+/// starts with: `{"v":1,"id":<id or null>,"ok":<ok>`.
+void BeginResponse(obs::JsonWriter* w, int64_t id, bool has_id, bool ok);
 
 /// Renders the error-response line (no trailing newline).
 std::string ErrorResponse(bool has_id, int64_t id, ErrorCode code,

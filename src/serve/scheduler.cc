@@ -144,13 +144,7 @@ SchedulerStats RequestScheduler::stats() const {
 std::string RequestScheduler::StatsResponseLocked(int64_t id) const {
   std::shared_ptr<const StudyIndex> pinned = PinIndex();
   obs::JsonWriter w;
-  w.BeginObject();
-  w.Key("v");
-  w.Int(kProtocolVersion);
-  w.Key("id");
-  w.Int(id);
-  w.Key("ok");
-  w.Bool(true);
+  BeginResponse(&w, id, true, true);
   w.Key("result");
   w.BeginObject();
   w.Key("index");
@@ -387,13 +381,7 @@ std::string RequestScheduler::AppendLocked(
                          out.error);
   }
   obs::JsonWriter w;
-  w.BeginObject();
-  w.Key("v");
-  w.Int(kProtocolVersion);
-  w.Key("id");
-  w.Int(request.id);
-  w.Key("ok");
-  w.Bool(true);
+  BeginResponse(&w, request.id, true, true);
   w.Key("result");
   w.BeginObject();
   w.Key("appended_users");

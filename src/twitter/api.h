@@ -113,12 +113,12 @@ class StreamingApi {
   /// returns the number delivered.
   int64_t Filter(const std::string& keyword, const Callback& callback) const;
 
-  /// Replays every materialized tweet in time order, delivering the
-  /// tweet together with its *dataset* index. The index is the stable,
-  /// replay-order-independent key the incremental study engine feeds the
-  /// fault scheduler, so a streamed run charges the exact fault/retry
-  /// schedule of the batch study over the same dataset. Injected stream
-  /// faults still drop deliveries (keyed on replay position, like
+  /// Replays every materialized tweet in (time, id) order, delivering
+  /// the tweet together with its *dataset* index: the stable,
+  /// replay-order-independent fault key under which a streamed run
+  /// charges the batch study's fault/retry schedule (the CLI's stream
+  /// start orders corpus rows the same way). Injected stream faults
+  /// still drop deliveries (keyed on replay position, like
   /// Filter/Sample).
   int64_t Replay(const IndexedCallback& callback) const;
 

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "core/report.h"
 #include "core/study.h"
@@ -75,24 +76,47 @@ TEST_F(CorpusReaderTest, EveryFormatDecodesTheSameCorpus) {
   auto tsv = CorpusReader::Open(tsv_spec);
   ASSERT_TRUE(tsv.ok()) << tsv.status().ToString();
   EXPECT_EQ(tsv->format(), CorpusFormat::kTsv);
-  ASSERT_NE(tsv->dataset(), nullptr);
 
   CorpusSpec arena_spec;
   arena_spec.corpus_path = arena_;
   auto arena = CorpusReader::Open(arena_spec);
   ASSERT_TRUE(arena.ok()) << arena.status().ToString();
   EXPECT_EQ(arena->format(), CorpusFormat::kArenaV3);
-  EXPECT_EQ(arena->dataset(), nullptr);  // not materialized yet
-  auto materialized = arena->Materialize();
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
 
+  // Each view holds its source's rows, field for field: the TSV pair's
+  // decoded rows (the text format rounds coordinates) and the dataset
+  // the arena was written from.
+  auto decoded = twitter::Dataset::LoadTsv(users_tsv_, tweets_tsv_);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   const twitter::Dataset& d = data_->dataset;
-  for (const CorpusReader* reader : {&*tsv, &*arena}) {
-    EXPECT_EQ(reader->dataset()->users().size(), d.users().size());
-    EXPECT_EQ(reader->dataset()->tweets().size(), d.tweets().size());
-    EXPECT_EQ(reader->dataset()->gps_tweet_count(), d.gps_tweet_count());
-    EXPECT_EQ(reader->dataset()->total_tweet_count(),
-              d.total_tweet_count());
+  using Source = std::pair<const CorpusReader*, const twitter::Dataset*>;
+  for (const auto& [reader, source] :
+       {Source{&*tsv, &*decoded}, Source{&*arena, &d}}) {
+    const CorpusView& view = reader->view();
+    ASSERT_EQ(view.user_count(), d.users().size());
+    ASSERT_EQ(view.tweet_count(), d.tweets().size());
+    EXPECT_EQ(view.gps_tweet_count(), d.gps_tweet_count());
+    EXPECT_EQ(view.total_tweet_count(), d.total_tweet_count());
+    for (size_t row = 0; row < view.user_count(); ++row) {
+      const twitter::User& want = source->users()[row];
+      EXPECT_EQ(view.user_id(row), want.id);
+      EXPECT_EQ(view.user_handle(row), want.handle);
+      EXPECT_EQ(view.user_profile_location(row), want.profile_location);
+      EXPECT_EQ(view.user_total_tweets(row), want.total_tweets);
+    }
+    for (size_t row = 0; row < view.tweet_count(); ++row) {
+      const twitter::Tweet& want = source->tweets()[row];
+      const twitter::Tweet got = view.MaterializeTweet(row);
+      EXPECT_EQ(got.id, want.id);
+      EXPECT_EQ(got.user, want.user);
+      EXPECT_EQ(got.time, want.time);
+      EXPECT_EQ(got.gps.has_value(), want.gps.has_value());
+      if (got.gps && want.gps) {
+        EXPECT_EQ(got.gps->lat, want.gps->lat);
+        EXPECT_EQ(got.gps->lng, want.gps->lng);
+      }
+      EXPECT_EQ(got.text, want.text);
+    }
   }
 }
 
@@ -122,32 +146,31 @@ TEST_F(CorpusReaderTest, MisroutedPathsAreRejectedWithGuidance) {
 }
 
 TEST_F(CorpusReaderTest, StudyReportsAreByteIdenticalAcrossFormats) {
-  // The tentpole guarantee: the same study over the TSV-decoded dataset
-  // and the zero-copy v3 view renders the same bytes — funnel, group
-  // table, and report.json.
+  // The tentpole guarantee: the same study over the row-oriented dataset,
+  // the TSV pair's in-memory view and the zero-copy v3 view renders the
+  // same bytes — funnel, group table, and report.json.
   const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
   core::CorrelationStudy study(&db);
+  core::StudyResult from_rows = study.Run(data_->dataset);
 
   CorpusSpec tsv_spec;
   tsv_spec.users_path = users_tsv_;
   tsv_spec.tweets_path = tweets_tsv_;
   auto tsv = CorpusReader::Open(tsv_spec);
   ASSERT_TRUE(tsv.ok());
-  core::StudyResult from_tsv = study.Run(*tsv->dataset());
 
   CorpusSpec arena_spec;
   arena_spec.corpus_path = arena_;
   auto arena = CorpusReader::Open(arena_spec);
   ASSERT_TRUE(arena.ok());
-  core::StudyResult from_view = study.Run(arena->view());
 
-  EXPECT_EQ(from_tsv.FunnelString(), from_view.FunnelString());
-  EXPECT_EQ(from_tsv.GroupTableString(), from_view.GroupTableString());
-  EXPECT_EQ(core::StudyReportJsonString(from_tsv),
-            core::StudyReportJsonString(from_view));
-  // A TSV pair opens into an in-memory view of its own.
-  EXPECT_EQ(core::StudyReportJsonString(study.Run(tsv->view())),
-            core::StudyReportJsonString(from_view));
+  for (const CorpusReader* reader : {&*tsv, &*arena}) {
+    core::StudyResult from_view = study.Run(reader->view());
+    EXPECT_EQ(from_rows.FunnelString(), from_view.FunnelString());
+    EXPECT_EQ(from_rows.GroupTableString(), from_view.GroupTableString());
+    EXPECT_EQ(core::StudyReportJsonString(from_rows),
+              core::StudyReportJsonString(from_view));
+  }
 }
 
 TEST_F(CorpusReaderTest, ColumnarStudyMatchesDatasetStudyInParallel) {

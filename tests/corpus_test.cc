@@ -15,7 +15,6 @@
 #include "common/random.h"
 #include "core/report.h"
 #include "core/study.h"
-#include "io/corpus_reader.h"
 #include "io/fault_fs.h"
 #include "twitter/generator.h"
 
@@ -83,26 +82,21 @@ TEST(CorpusWriterTest, RoundTripIsFieldIdentical) {
 
   auto view = CorpusView::Open(path.string());
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view->user_count(), 4u);
-  EXPECT_EQ(view->tweet_count(), 5u);
+  ASSERT_EQ(view->user_count(), 4u);
+  ASSERT_EQ(view->tweet_count(), 5u);
   EXPECT_EQ(view->gps_tweet_count(), 3);
   EXPECT_EQ(view->total_tweet_count(), 165);
 
-  auto materialized = MaterializeDataset(*view);
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  ASSERT_EQ(materialized->users().size(), dataset.users().size());
   for (size_t i = 0; i < dataset.users().size(); ++i) {
     const twitter::User& a = dataset.users()[i];
-    const twitter::User& b = materialized->users()[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.handle, b.handle);
-    EXPECT_EQ(a.profile_location, b.profile_location);
-    EXPECT_EQ(a.total_tweets, b.total_tweets);
+    EXPECT_EQ(a.id, view->user_id(i));
+    EXPECT_EQ(a.handle, view->user_handle(i));
+    EXPECT_EQ(a.profile_location, view->user_profile_location(i));
+    EXPECT_EQ(a.total_tweets, view->user_total_tweets(i));
   }
-  ASSERT_EQ(materialized->tweets().size(), dataset.tweets().size());
   for (size_t i = 0; i < dataset.tweets().size(); ++i) {
     const twitter::Tweet& a = dataset.tweets()[i];
-    const twitter::Tweet& b = materialized->tweets()[i];
+    const twitter::Tweet b = view->MaterializeTweet(i);
     EXPECT_EQ(a.id, b.id);
     EXPECT_EQ(a.user, b.user);
     EXPECT_EQ(a.time, b.time);

@@ -14,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "core/study.h"
 #include "geo/reverse_geocoder.h"
+#include "obs/metrics.h"
 #include "twitter/generator.h"
 
 namespace stir::core {
@@ -179,7 +180,10 @@ TEST_F(ParallelStudyTest, GroupUsersParallelMatchesSerial) {
 // succeed with the right region, and the hit/miss accounting must balance
 // exactly once the threads join.
 TEST_F(ParallelStudyTest, GeocoderCounterTotalsSurviveContention) {
-  geo::ReverseGeocoder geocoder(&db_);
+  obs::MetricsRegistry metrics;
+  geo::ReverseGeocoderOptions options;
+  options.metrics = &metrics;
+  geo::ReverseGeocoder geocoder(&db_, options);
   constexpr int kThreads = 8;
   constexpr int kLookupsPerThread = 2000;
 
@@ -214,10 +218,12 @@ TEST_F(ParallelStudyTest, GeocoderCounterTotalsSurviveContention) {
   EXPECT_EQ(failed.load(), 0);
   EXPECT_EQ(wrong_region.load(), 0);
   EXPECT_EQ(ok.load(), int64_t{kThreads} * kLookupsPerThread);
-  EXPECT_EQ(geocoder.num_queries(), int64_t{kThreads} * kLookupsPerThread);
+  const int64_t queries = metrics.GetCounter("geocode.queries")->value();
+  EXPECT_EQ(queries, int64_t{kThreads} * kLookupsPerThread);
   // Each distinct cell misses at least once; racing first lookups can miss
   // a few extra times, never more than once per thread per cell.
-  int64_t misses = geocoder.num_queries() - geocoder.num_cache_hits();
+  int64_t misses =
+      queries - metrics.GetCounter("geocode.cache_hits")->value();
   EXPECT_GE(misses, static_cast<int64_t>(points.size()));
   EXPECT_LE(misses, static_cast<int64_t>(points.size()) * kThreads);
 }

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/random.h"
+#include "obs/metrics.h"
 
 namespace stir::geo {
 namespace {
+
+/// A geocoder's `geocode.<name>` counter in its attached registry.
+int64_t Count(obs::MetricsRegistry& metrics, std::string_view name) {
+  return metrics.GetCounter("geocode." + std::string(name))->value();
+}
 
 TEST(ReverseGeocoderTest, StructuredLookup) {
   ReverseGeocoder geocoder(&AdminDb::KoreanDistricts());
@@ -54,34 +62,42 @@ TEST(ReverseGeocoderTest, ParseResponseRejectsMalformed) {
 TEST(ReverseGeocoderTest, LocateSkipsTheMemoUnlessQuotaCanObserveIt) {
   const AdminDb& db = AdminDb::KoreanDistricts();
   const LatLng yangcheon{37.5170, 126.8666};
-  ReverseGeocoder plain(&db);
+  obs::MetricsRegistry plain_metrics;
+  ReverseGeocoderOptions plain_options;
+  plain_options.metrics = &plain_metrics;
+  ReverseGeocoder plain(&db, plain_options);
   auto region = plain.Locate(yangcheon);
   ASSERT_TRUE(region.ok());
   EXPECT_EQ(*region, plain.Reverse(yangcheon)->region);
   EXPECT_EQ(*plain.Locate(yangcheon), *region);
-  EXPECT_EQ(plain.num_queries(), 3);
-  EXPECT_EQ(plain.num_cache_hits(), 0);  // Locate never reads the memo.
+  EXPECT_EQ(Count(plain_metrics, "queries"), 3);
+  EXPECT_EQ(Count(plain_metrics, "cache_hits"), 0);  // Locate skips the memo.
   EXPECT_TRUE(plain.Locate({999, 0}).status().IsInvalidArgument());
   EXPECT_TRUE(plain.Locate({20.0, -150.0}).status().IsNotFound());
 
   // A finite quota sees every miss, so Locate goes through the memo.
+  obs::MetricsRegistry metered_metrics;
   ReverseGeocoderOptions options;
   options.quota = 5;
+  options.metrics = &metered_metrics;
   ReverseGeocoder metered(&db, options);
   EXPECT_EQ(*metered.Locate(yangcheon), *region);
   EXPECT_EQ(*metered.Locate(yangcheon), *region);
-  EXPECT_EQ(metered.num_cache_hits(), 1);
+  EXPECT_EQ(Count(metered_metrics, "cache_hits"), 1);
   EXPECT_EQ(metered.quota_remaining(), 4);
 }
 
 TEST(ReverseGeocoderTest, CacheHitsAccumulate) {
-  ReverseGeocoder geocoder(&AdminDb::KoreanDistricts());
+  obs::MetricsRegistry metrics;
+  ReverseGeocoderOptions options;
+  options.metrics = &metrics;
+  ReverseGeocoder geocoder(&AdminDb::KoreanDistricts(), options);
   LatLng p{35.8714, 128.6014};  // Daegu Jung-gu
   ASSERT_TRUE(geocoder.Reverse(p).ok());
   ASSERT_TRUE(geocoder.Reverse(p).ok());
   ASSERT_TRUE(geocoder.Reverse(p).ok());
-  EXPECT_EQ(geocoder.num_queries(), 3);
-  EXPECT_EQ(geocoder.num_cache_hits(), 2);
+  EXPECT_EQ(Count(metrics, "queries"), 3);
+  EXPECT_EQ(Count(metrics, "cache_hits"), 2);
 }
 
 TEST(ReverseGeocoderTest, QuotaExhaustion) {
@@ -98,9 +114,11 @@ TEST(ReverseGeocoderTest, QuotaExhaustion) {
 }
 
 TEST(ReverseGeocoderTest, LocateSpendsTheQuotaWithTheCacheOff) {
+  obs::MetricsRegistry metrics;
   ReverseGeocoderOptions options;
   options.quota = 2;
   options.enable_cache = false;
+  options.metrics = &metrics;
   ReverseGeocoder geocoder(&AdminDb::KoreanDistricts(), options);
   EXPECT_TRUE(geocoder.Locate({37.50, 127.03}).ok());
   EXPECT_TRUE(geocoder.Locate({35.18, 129.07}).ok());
@@ -109,7 +127,7 @@ TEST(ReverseGeocoderTest, LocateSpendsTheQuotaWithTheCacheOff) {
   EXPECT_EQ(geocoder.quota_remaining(), 0);
   geocoder.ResetQuota();
   EXPECT_TRUE(geocoder.Locate({36.35, 127.38}).ok());
-  EXPECT_EQ(geocoder.num_cache_hits(), 0);
+  EXPECT_EQ(Count(metrics, "cache_hits"), 0);
 }
 
 TEST(ReverseGeocoderTest, CachedResultsDontSpendQuota) {

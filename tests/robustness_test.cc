@@ -18,6 +18,7 @@
 #include "core/study.h"
 #include "geo/reverse_geocoder.h"
 #include "io/corpus.h"
+#include "obs/metrics.h"
 #include "text/location_parser.h"
 #include "twitter/generator.h"
 
@@ -227,9 +228,11 @@ TEST(FailureInjectionTest, FunnelCountersSumExactlyToInjectedFaults) {
   fault_options.seed = 7;
   common::FaultInjector injector(fault_options);
 
+  obs::MetricsRegistry metrics;
   geo::ReverseGeocoderOptions geocoder_options;
   geocoder_options.fault_injector = &injector;
   geocoder_options.retry.max_attempts = 2;
+  geocoder_options.metrics = &metrics;
   geo::ReverseGeocoder geocoder(&db, geocoder_options);
   text::LocationParser parser(&db);
   core::RefinementPipeline pipeline(&parser, &geocoder, StudyConfig());
@@ -250,9 +253,12 @@ TEST(FailureInjectionTest, FunnelCountersSumExactlyToInjectedFaults) {
   EXPECT_EQ(injector.faults_injected(),
             funnel.geocode_retried + funnel.geocode_faulted);
   // The funnel's fault counters are the geocoder's, verbatim.
-  EXPECT_EQ(funnel.geocode_retried, geocoder.num_retries());
-  EXPECT_EQ(funnel.geocode_faulted, geocoder.num_faulted());
-  EXPECT_EQ(funnel.backoff_ms, geocoder.simulated_backoff_ms());
+  EXPECT_EQ(funnel.geocode_retried,
+            metrics.GetCounter("geocode.retried")->value());
+  EXPECT_EQ(funnel.geocode_faulted,
+            metrics.GetCounter("geocode.faulted")->value());
+  EXPECT_EQ(funnel.backoff_ms,
+            metrics.GetCounter("geocode.backoff_ms")->value());
   // Degradation only ever salvages terminally-faulted lookups.
   EXPECT_LE(funnel.geocode_degraded, funnel.geocode_faulted);
 }

@@ -1,11 +1,13 @@
 // StreamEngine unit coverage: journal record round-trips, the epoch /
 // generation bookkeeping, ingest validation and append atomicity,
 // crash-resume from the stream journal (including mid-epoch tails and
-// torn bytes), and the stream.* metrics surface. The differential
+// torn bytes), the stream.* metrics surface, and the front end's
+// pre-ingest from a corpus view (tools/front_end.h). The differential
 // batch-equivalence proof lives in stream_equivalence_test.cc.
 
 #include "stream/engine.h"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -14,13 +16,16 @@
 #include <vector>
 
 #include "core/study.h"
+#include "front_end.h"
 #include "geo/admin_db.h"
 #include "gtest/gtest.h"
 #include "io/atomic_file.h"
+#include "io/corpus.h"
 #include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/study_index.h"
 #include "stream/stream_journal.h"
+#include "twitter/api.h"
 #include "twitter/generator.h"
 
 namespace stir::stream {
@@ -436,6 +441,158 @@ TEST_F(StreamEngineTest, JournalsIntoTheStudyConfigCheckpointDir) {
   EXPECT_EQ(resumed.epochs_sealed(), reference.epochs_sealed());
   EXPECT_EQ(resumed.generation(), reference.generation());
   ExpectSameAnswers(*resumed.CurrentIndex(), *reference.CurrentIndex());
+}
+
+// ---------------------------------------------------------------------------
+// Pre-ingest from a corpus view (front_end::Streaming::Open)
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// A --stream start over `view`; null (with the failure on stderr) when
+/// the start fails.
+std::unique_ptr<StreamEngine> StartStream(const io::CorpusView& view,
+                                          const AdminDb& db,
+                                          const StudyConfig& config,
+                                          int64_t epoch_size) {
+  front_end::Streaming streaming;
+  streaming.enabled = true;
+  streaming.epoch_size = epoch_size;
+  return streaming.Open(view, db, config, "");
+}
+
+TEST_F(StreamEngineTest, PreIngestJournalsWhatTheReplayApiWould) {
+  // Day-granular times make most tweets share a timestamp, and scrambled
+  // ids make the (time, id) tie-break disagree with row order.
+  twitter::Dataset dataset;
+  for (const twitter::User& user : data_->dataset.users()) {
+    dataset.AddUser(user);
+  }
+  const std::vector<twitter::Tweet>& tweets = data_->dataset.tweets();
+  std::set<SimTime> times;
+  for (size_t row = 0; row < tweets.size(); ++row) {
+    twitter::Tweet tweet = tweets[row];
+    tweet.time -= tweet.time % kSecondsPerDay;
+    tweet.id = static_cast<twitter::TweetId>((row * 7919) % tweets.size());
+    times.insert(tweet.time);
+    dataset.AddTweet(std::move(tweet));
+  }
+  ASSERT_LT(times.size() * 2, tweets.size());
+  auto view = io::CorpusView::FromDataset(dataset);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+
+  for (int64_t epoch_size : {0, 7}) {
+    SCOPED_TRACE(epoch_size);
+    const std::string suffix = std::to_string(epoch_size);
+    StudyConfig config;
+    config.durability.checkpoint_dir = ScratchDir("preingest_view" + suffix);
+    const std::string view_dir = config.durability.checkpoint_dir;
+    int64_t generation = 0;
+    {
+      std::unique_ptr<StreamEngine> engine =
+          StartStream(*view, *db_, config, epoch_size);
+      ASSERT_NE(engine, nullptr);
+      generation = engine->generation();
+    }
+
+    // The reference: users in dataset order, then the streaming
+    // endpoint's replay with dataset indices as fault keys.
+    config.durability.checkpoint_dir = ScratchDir("preingest_rows" + suffix);
+    const std::string rows_dir = config.durability.checkpoint_dir;
+    {
+      StreamOptions options;
+      options.epoch_size = epoch_size;
+      StreamEngine reference(db_, config, options);
+      ASSERT_TRUE(reference.Open().ok());
+      for (const twitter::User& user : dataset.users()) {
+        ASSERT_TRUE(reference.AddUser(user).ok());
+      }
+      twitter::StreamingApi(&dataset).Replay(
+          [&](size_t index, const twitter::Tweet& tweet) {
+            ASSERT_TRUE(
+                reference.AddTweet(tweet, static_cast<int64_t>(index)).ok());
+          });
+      reference.SealEpoch();
+      EXPECT_EQ(generation, reference.generation());
+    }
+
+    const std::string journal = ReadBytes(view_dir + "/stream.journal");
+    EXPECT_GT(journal.size(), tweets.size());
+    EXPECT_EQ(journal, ReadBytes(rows_dir + "/stream.journal"));
+    EXPECT_EQ(ReadBytes(view_dir + "/geocode.journal"),
+              ReadBytes(rows_dir + "/geocode.journal"));
+  }
+}
+
+TEST_F(StreamEngineTest, PreIngestRejectsARepeatedUserIdFreshAndResumed) {
+  // Ids whose 8 bytes occur once in the file, so the second user's id
+  // slot can be found and overwritten with the first's.
+  constexpr twitter::UserId kFirst = 0x5151515151510001;
+  constexpr twitter::UserId kSecond = 0x5151515151510002;
+  twitter::Dataset dataset;
+  for (twitter::UserId id : {kFirst, kSecond}) {
+    twitter::User user;
+    user.id = id;
+    user.handle = "u" + std::to_string(id % 10);
+    user.profile_location = "Seoul Mapo-gu";
+    user.total_tweets = 3;
+    dataset.AddUser(user);
+    twitter::Tweet tweet;
+    tweet.id = id % 10;
+    tweet.user = id;
+    tweet.time = 100;
+    tweet.gps = geo::LatLng{37.56, 126.91};
+    dataset.AddTweet(tweet);
+  }
+  const std::string dir = ScratchDir("repeated_id");
+  std::filesystem::create_directories(dir);
+  const std::string clean_path = dir + "/clean.stir";
+  const std::string crafted_path = dir + "/crafted.stir";
+  ASSERT_TRUE(io::CorpusWriter::WriteDataset(dataset, clean_path).ok());
+  std::string bytes = ReadBytes(clean_path);
+  char first[8], second[8];
+  std::memcpy(first, &kFirst, 8);
+  std::memcpy(second, &kSecond, 8);
+  const size_t slot = bytes.find(std::string(second, 8));
+  ASSERT_NE(slot, std::string::npos);
+  ASSERT_EQ(bytes.find(std::string(second, 8), slot + 1), std::string::npos);
+  bytes.replace(slot, 8, first, 8);
+  std::ofstream(crafted_path, std::ios::binary) << bytes;
+
+  // The edit breaks the CRC, so the view opens with verification off;
+  // the structural checks let the repeated id through.
+  io::CorpusViewOptions unverified;
+  unverified.verify_crc = false;
+  auto crafted = io::CorpusView::Open(crafted_path, unverified);
+  ASSERT_TRUE(crafted.ok()) << crafted.status().ToString();
+  ASSERT_EQ(crafted->user_id(1), kFirst);
+  const std::string named = "duplicate user id " + std::to_string(kFirst);
+
+  StudyConfig config;
+  config.durability.checkpoint_dir = dir + "/ckpt";
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(StartStream(*crafted, *db_, config, 0), nullptr);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(named),
+            std::string::npos);
+
+  // Resumed over a journal that already holds both users: the start
+  // still fails, before the engine opens, so the journal is untouched.
+  auto clean = io::CorpusView::Open(clean_path);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_NE(StartStream(*clean, *db_, config, 0), nullptr);
+  const std::string journal =
+      ReadBytes(config.durability.checkpoint_dir + "/stream.journal");
+  ASSERT_FALSE(journal.empty());
+  config.durability.resume = true;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(StartStream(*crafted, *db_, config, 0), nullptr);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(named),
+            std::string::npos);
+  EXPECT_EQ(ReadBytes(config.durability.checkpoint_dir + "/stream.journal"),
+            journal);
 }
 
 }  // namespace

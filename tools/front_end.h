@@ -20,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,6 @@
 #include "io/corpus_reader.h"
 #include "io/fault_fs.h"
 #include "stream/engine.h"
-#include "twitter/api.h"
 
 namespace stir::front_end {
 
@@ -440,21 +440,29 @@ struct Streaming {
     return true;
   }
 
-  /// Opens an engine over the corpus (journaling into, and with
-  /// --resume replaying, `config.durability`), pre-ingests the corpus
-  /// and seals. Users go in dataset order, then tweets in time order
-  /// carrying their dataset indices as fault keys, so every sealed
-  /// generation is byte-identical to a batch study over the same prefix;
-  /// a resumed engine skips what its journal already holds. Returns null
-  /// after printing the failure.
-  std::unique_ptr<stream::StreamEngine> Open(io::CorpusReader* reader,
+  /// Opens an engine over the corpus view (journaling into, and with
+  /// --resume replaying, `config.durability`), pre-ingests the view and
+  /// seals. Users go in row order, then tweet rows in (time, id) order,
+  /// each carrying its row as fault key, so every sealed generation is
+  /// byte-identical to a batch study over the same prefix; a resumed
+  /// engine skips what its journal already holds. A repeated user id
+  /// fails the start before the engine opens. Returns null after
+  /// printing the failure.
+  std::unique_ptr<stream::StreamEngine> Open(const io::CorpusView& view,
                                              const geo::AdminDb& db,
                                              const StudyConfig& config,
                                              const char* log) const {
-    // The engine ingests row-oriented tweets.
-    StatusOr<const twitter::Dataset*> dataset = reader->Materialize();
-    if (!dataset.ok()) {
-      Fail(log, "load failed", dataset.status());
+    // The arena's structural checks let a crafted file repeat a user id,
+    // and a resumed engine would skip both rows as already held.
+    std::vector<twitter::UserId> ids(view.user_count());
+    for (size_t row = 0; row < ids.size(); ++row) ids[row] = view.user_id(row);
+    std::sort(ids.begin(), ids.end());
+    if (auto repeat = std::adjacent_find(ids.begin(), ids.end());
+        repeat != ids.end()) {
+      Fail(log, "load failed",
+           Status::InvalidArgument("corpus " + view.path() +
+                                   ": duplicate user id " +
+                                   std::to_string(*repeat)));
       return nullptr;
     }
     stream::StreamOptions options;
@@ -465,19 +473,28 @@ struct Streaming {
       Fail(log, "stream engine open failed", status);
       return nullptr;
     }
-    const int64_t skip_tweets = engine->ingested_tweets();
-    for (const twitter::User& user : (*dataset)->users()) {
+    for (size_t row = 0; status.ok() && row < view.user_count(); ++row) {
+      twitter::User user;
+      user.id = view.user_id(row);
       if (engine->HasUser(user.id)) continue;
+      user.handle = view.user_handle(row);
+      user.profile_location = view.user_profile_location(row);
+      user.total_tweets = view.user_total_tweets(row);
       status = engine->AddUser(user);
-      if (!status.ok()) break;
     }
-    if (status.ok()) {
-      twitter::StreamingApi api(*dataset);
-      int64_t delivered = 0;
-      api.Replay([&](size_t dataset_index, const twitter::Tweet& tweet) {
-        if (!status.ok() || delivered++ < skip_tweets) return;
-        status = engine->AddTweet(tweet, static_cast<int64_t>(dataset_index));
-      });
+    // The streaming endpoint's replay order: rows sorted by (time, id).
+    std::vector<size_t> order(view.tweet_count());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&view](size_t a, size_t b) {
+      if (view.tweet_time(a) != view.tweet_time(b)) {
+        return view.tweet_time(a) < view.tweet_time(b);
+      }
+      return view.tweet_id(a) < view.tweet_id(b);
+    });
+    for (size_t i = static_cast<size_t>(engine->ingested_tweets());
+         status.ok() && i < order.size(); ++i) {
+      status = engine->AddTweet(view.MaterializeTweet(order[i]),
+                                static_cast<int64_t>(order[i]));
     }
     if (!status.ok()) {
       Fail(log, "stream ingest failed", status);

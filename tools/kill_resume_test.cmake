@@ -4,7 +4,8 @@
 # against an uninterrupted run. Also covers torn journal tails, fault
 # injection across the crash, threaded runs, journal-only (no checkpoint)
 # zero-quota resumes, corrupt-durable-state degradation, and the same
-# crash/resume scenarios on an arena corpus (--corpus).
+# crash/resume scenarios, streaming included, on an arena corpus
+# (--corpus).
 
 set(CRASH_EXIT 42)
 
@@ -342,5 +343,40 @@ endif()
 expect_same_report("--corpus resume after complete (quota 0)"
                    ${CORPUS_CLEAN_REPORT}
                    ${WORK_DIR}/${name}_report/report.json)
+
+# --- Streaming on the arena corpus ---------------------------------------
+# The stream engine pre-ingests straight from the mapped view: a clean
+# run and a crash/resume must both equal the --corpus batch report.
+file(REMOVE_RECURSE ${WORK_DIR}/kr_corpus_stream_clean_report)
+file(MAKE_DIRECTORY ${WORK_DIR}/kr_corpus_stream_clean_report)
+run_cli(rc out err ${CSTUDY} --stream --epoch-size 13
+        --report-dir ${WORK_DIR}/kr_corpus_stream_clean_report)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--corpus streaming clean run failed (${rc}): ${err}")
+endif()
+expect_same_report("--corpus streaming clean vs batch"
+                   ${CORPUS_CLEAN_REPORT}
+                   ${WORK_DIR}/kr_corpus_stream_clean_report/report.json)
+
+set(name kr_corpus_stream_crash)
+prepare_dirs(${name})
+run_cli(rc out err ${CSTUDY} --stream --epoch-size 13
+        --checkpoint-dir ${WORK_DIR}/${name}_ckpt
+        --crash-after 300)
+if(NOT rc EQUAL ${CRASH_EXIT})
+  message(FATAL_ERROR "--corpus streaming crash run exited ${rc}, "
+          "expected ${CRASH_EXIT}: ${out} ${err}")
+endif()
+if(NOT EXISTS ${WORK_DIR}/${name}_ckpt/stream.journal)
+  message(FATAL_ERROR "--corpus streaming crash left no stream journal")
+endif()
+run_cli(rc out err ${CSTUDY} --stream --epoch-size 13
+        --checkpoint-dir ${WORK_DIR}/${name}_ckpt --resume
+        --report-dir ${WORK_DIR}/${name}_report)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--corpus streaming resume failed (${rc}): ${err}")
+endif()
+expect_same_report("--corpus streaming crash/resume"
+                   ${CORPUS_CLEAN_REPORT} ${WORK_DIR}/${name}_report/report.json)
 
 message(STATUS "kill-resume harness passed")

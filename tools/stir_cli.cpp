@@ -307,7 +307,7 @@ int RunStudy(int argc, char** argv) {
     // aggregation stages the batch pipeline runs — byte-identical stdout
     // and reports.
     std::unique_ptr<stir::stream::StreamEngine> engine =
-        stream.Open(&*reader, db, config, "");
+        stream.Open(reader->view(), db, config, "");
     if (engine == nullptr) return 1;
     std::fprintf(stderr,
                  "streamed %lld users, %lld tweets in %lld epochs "

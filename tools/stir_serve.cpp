@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
     // The engine shares the serve registry so stream.* counters land in
     // the --metrics-out snapshot alongside serve.*.
     config.obs.metrics = &metrics;
-    engine = stream.Open(&*reader, db, config, kLog);
+    engine = stream.Open(reader->view(), db, config, kLog);
     if (engine == nullptr) return 1;
     stream_index = engine->CurrentIndex();
     stream_generation = engine->generation();
