@@ -4,6 +4,7 @@
 // generated corpus.
 
 #include "bench_util.h"
+#include "core/grouping.h"
 #include "core/location_string.h"
 
 int main(int argc, char** argv) {
@@ -48,10 +49,13 @@ int main(int argc, char** argv) {
   stir::bench::StudyRun run = stir::bench::RunKoreanStudy(scale);
   std::printf("\nlive rows from the synthetic corpus (scale %.2f):\n", scale);
   int printed = 0;
+  const stir::geo::AdminDb& db = stir::geo::AdminDb::KoreanDistricts();
   for (const auto& grouping : run.result.groupings) {
-    for (const auto& merged : grouping.ordered) {
-      for (int i = 0; i < merged.count && printed < 6; ++i) {
-        std::printf("  %s\n", merged.record.ToString().c_str());
+    for (const auto& row : grouping.ordered) {
+      const std::string record =
+          stir::core::RenderTableRow(grouping, row, db).record.ToString();
+      for (int i = 0; i < row.count && printed < 6; ++i) {
+        std::printf("  %s\n", record.c_str());
         ++printed;
       }
     }

@@ -2,6 +2,9 @@
 // "(n)", the matched-string rank, and the induced Top-k classification of
 // the paper's two example users.
 
+#include <string>
+#include <vector>
+
 #include "bench_util.h"
 #include "core/grouping.h"
 #include "core/location_string.h"
@@ -42,31 +45,44 @@ int main(int argc, char** argv) {
       region("Gyeonggi-do", "Seongnam-si"),
   };
 
-  bool ok = true;
-  for (const core::RefinedUser& user : {user123, user71}) {
-    core::UserGrouping grouping = core::GroupUser(user, db);
+  // Each user's Table II rows, rendered from the gazetteer's names.
+  auto table_rows = [&](const core::UserGrouping& grouping) {
+    std::vector<std::string> rows;
+    for (const core::DistrictCount& row : grouping.ordered) {
+      rows.push_back(core::RenderTableRow(grouping, row, db).ToString());
+    }
+    return rows;
+  };
+  const core::UserGrouping g123 = core::GroupUser(user123, db);
+  const core::UserGrouping g71 = core::GroupUser(user71, db);
+  for (const core::UserGrouping* grouping : {&g123, &g71}) {
     std::printf("user %lld => rank %d => %s\n",
-                static_cast<long long>(user.user), grouping.match_rank,
-                core::TopKGroupToString(grouping.group));
-    for (const auto& merged : grouping.ordered) {
-      std::printf("  %s\n", merged.ToString().c_str());
+                static_cast<long long>(grouping->user), grouping->match_rank,
+                core::TopKGroupToString(grouping->group));
+    for (const std::string& row : table_rows(*grouping)) {
+      std::printf("  %s\n", row.c_str());
     }
   }
-  {
-    core::UserGrouping g123 = core::GroupUser(user123, db);
-    core::UserGrouping g71 = core::GroupUser(user71, db);
-    std::printf("\nshape checks (paper: user 123 -> Top-1, user 71 -> "
-                "Top-2):\n");
-    ok &= bench::Check(g123.group == core::TopKGroup::kTop1,
-                       "paper example user 123 classified Top-1");
-    ok &= bench::Check(g123.ordered.front().count == 3,
-                       "user 123 matched string carries count (3)");
-    ok &= bench::Check(g71.group == core::TopKGroup::kTop2,
-                       "paper example user 71 classified Top-2");
-    ok &= bench::Check(g71.ordered.front().record.tweet_county ==
-                           "Seongnam-si",
-                       "user 71 top string is the non-matched district");
-  }
+  std::printf("\nshape checks (paper: user 123 -> Top-1, user 71 -> "
+              "Top-2):\n");
+  // The row checks compare the exact rendered rows.
+  bool ok = bench::Check(g123.group == core::TopKGroup::kTop1,
+                         "paper example user 123 classified Top-1");
+  ok &= bench::Check(
+      table_rows(g123) ==
+          std::vector<std::string>{
+              "123#Seoul#Yangcheon-gu#Seoul#Yangcheon-gu (3)",
+              "123#Seoul#Yangcheon-gu#Seoul#Jung-gu (2)",
+              "123#Seoul#Yangcheon-gu#Seoul#Seodaemun-gu (1)"},
+      "user 123 matched string carries count (3)");
+  ok &= bench::Check(g71.group == core::TopKGroup::kTop2,
+                     "paper example user 71 classified Top-2");
+  ok &= bench::Check(
+      table_rows(g71) ==
+          std::vector<std::string>{
+              "71#Gyeonggi-do#Uiwang-si#Gyeonggi-do#Seongnam-si (3)",
+              "71#Gyeonggi-do#Uiwang-si#Gyeonggi-do#Uiwang-si (2)"},
+      "user 71 top string is the non-matched district");
 
   // A live Table II from the synthetic corpus.
   double scale = bench::ScaleFromArgs(argc, argv, 0.2);
@@ -75,8 +91,8 @@ int main(int argc, char** argv) {
               scale);
   for (const auto& grouping : run.result.groupings) {
     if (grouping.group != core::TopKGroup::kTop2) continue;
-    for (const auto& merged : grouping.ordered) {
-      std::printf("  %s\n", merged.ToString().c_str());
+    for (const std::string& row : table_rows(grouping)) {
+      std::printf("  %s\n", row.c_str());
     }
     break;
   }

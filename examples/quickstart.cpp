@@ -47,8 +47,10 @@ int main(int argc, char** argv) {
                   "=> %s ===\n",
                   static_cast<long long>(grouping.user),
                   stir::core::TopKGroupToString(grouping.group));
-      for (const auto& merged : grouping.ordered) {
-        std::printf("  %s\n", merged.ToString().c_str());
+      for (const auto& row : grouping.ordered) {
+        std::printf(
+            "  %s\n",
+            stir::core::RenderTableRow(grouping, row, db).ToString().c_str());
       }
       std::printf("\n");
       break;

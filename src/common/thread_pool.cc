@@ -63,22 +63,23 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::RunTask(QueuedTask task, size_t worker_index) {
   if (metrics_ == nullptr) {
-    task.fn();
+    task.fn([] {});
     return;
   }
-  std::chrono::steady_clock::time_point started =
+  const std::chrono::steady_clock::time_point started =
       std::chrono::steady_clock::now();
-  task.fn();
-  int64_t run_us = ElapsedUs(started);
-  obs::RecordSample(task_run_us_, run_us);
-  obs::IncrementCounter(tasks_completed_);
-  if (worker_index < worker_tasks_.size()) {
-    obs::IncrementCounter(worker_tasks_[worker_index]);
-    obs::IncrementCounter(worker_busy_us_[worker_index], run_us);
-  }
+  task.fn([this, started, worker_index] {
+    const int64_t run_us = ElapsedUs(started);
+    obs::RecordSample(task_run_us_, run_us);
+    obs::IncrementCounter(tasks_completed_);
+    if (worker_index < worker_tasks_.size()) {
+      obs::IncrementCounter(worker_tasks_[worker_index]);
+      obs::IncrementCounter(worker_busy_us_[worker_index], run_us);
+    }
+  });
 }
 
-void ThreadPool::Schedule(std::function<void()> fn) {
+void ThreadPool::Schedule(std::function<void(const Done&)> fn) {
   obs::IncrementCounter(tasks_submitted_);
   if (workers_.empty()) {
     // Inline pool: the packaged_task captures any exception.

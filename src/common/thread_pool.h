@@ -44,25 +44,38 @@ class ThreadPool {
   int size() const { return static_cast<int>(workers_.size()); }
 
   /// Schedules `fn` and returns a future for its result. Exceptions thrown
-  /// by `fn` surface from future.get().
+  /// by `fn` surface from future.get(). The task is counted complete
+  /// before its future becomes ready, so a caller that has waited on its
+  /// futures finds every one of them in the registry.
   template <typename F>
   auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    auto task = std::make_shared<std::packaged_task<R(const Done&)>>(
+        [fn = std::forward<F>(fn)](const Done& done) mutable -> R {
+          // `done` runs as `fn` returns or throws, before the packaged
+          // task stores the outcome and readies the future.
+          struct OnExit {
+            const Done& done;
+            ~OnExit() { done(); }
+          } on_exit{done};
+          return fn();
+        });
     std::future<R> future = task->get_future();
-    Schedule([task] { (*task)(); });
+    Schedule([task](const Done& done) { (*task)(done); });
     return future;
   }
 
  private:
+  /// Records one task's completion: its run time and counters.
+  using Done = std::function<void()>;
+
   struct QueuedTask {
-    std::function<void()> fn;
+    std::function<void(const Done&)> fn;
     /// Enqueue time; only sampled when metrics are attached.
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  void Schedule(std::function<void()> fn);
+  void Schedule(std::function<void(const Done&)> fn);
   void WorkerLoop(size_t worker_index);
   /// Runs one task, charging run time / completion to `worker_index`
   /// (worker slots are resolved in the constructor; the inline path uses

@@ -17,10 +17,10 @@ ConcentrationMetrics ComputeConcentration(const UserGrouping& grouping) {
 
   double entropy = 0.0;
   int64_t top_count = 0;
-  for (const MergedLocationString& merged : grouping.ordered) {
-    double p = static_cast<double>(merged.count) / total;
+  for (const DistrictCount& row : grouping.ordered) {
+    double p = static_cast<double>(row.count) / total;
     if (p > 0.0) entropy -= p * std::log2(p);
-    top_count = std::max(top_count, merged.count);
+    top_count = std::max(top_count, row.count);
   }
   metrics.entropy_bits = entropy;
   metrics.normalized_entropy =
@@ -32,8 +32,8 @@ ConcentrationMetrics ComputeConcentration(const UserGrouping& grouping) {
   // Gini over the sorted (ascending) counts.
   std::vector<double> counts;
   counts.reserve(k);
-  for (const MergedLocationString& merged : grouping.ordered) {
-    counts.push_back(static_cast<double>(merged.count));
+  for (const DistrictCount& row : grouping.ordered) {
+    counts.push_back(static_cast<double>(row.count));
   }
   std::sort(counts.begin(), counts.end());
   double cum_weighted = 0.0;

@@ -43,22 +43,22 @@ UserGrouping GroupUser(const RefinedUser& user, const geo::AdminDb& db,
   // and sorting by (count desc, lex_rank) therefore reproduces
   // MergeAndOrder bit for bit while never hashing a string.
   const geo::DistrictNameTable& names = db.district_names();
-  const uint32_t profile_key = names.key_of_region[
-      static_cast<size_t>(user.profile_region)];
+  UserGrouping grouping;
+  grouping.user = user.user;
+  grouping.profile_name_key =
+      names.key_of_region[static_cast<size_t>(user.profile_region)];
+  grouping.gps_tweet_count = static_cast<int64_t>(user.tweet_regions.size());
 
-  struct Merged {
-    uint32_t key;
-    int64_t count;
-  };
   // First-seen linear vector: users tweet from a handful of districts,
   // so a scan beats any hash map at this size.
-  std::vector<Merged> merged;
+  std::vector<DistrictCount>& merged = grouping.ordered;
   for (geo::RegionId tweet_region : user.tweet_regions) {
     const uint32_t key = names.key_of_region[static_cast<size_t>(tweet_region)];
-    auto it = std::find_if(merged.begin(), merged.end(),
-                           [key](const Merged& m) { return m.key == key; });
+    auto it = std::find_if(
+        merged.begin(), merged.end(),
+        [key](const DistrictCount& m) { return m.name_key == key; });
     if (it == merged.end()) {
-      merged.push_back(Merged{key, 1});
+      merged.push_back(DistrictCount{key, 1});
     } else {
       ++it->count;
     }
@@ -71,37 +71,40 @@ UserGrouping GroupUser(const RefinedUser& user, const geo::AdminDb& db,
   // so the comparator is a strict weak ordering and std::sort is
   // deterministic here.
   std::sort(merged.begin(), merged.end(),
-            [&](const Merged& a, const Merged& b) {
+            [&](const DistrictCount& a, const DistrictCount& b) {
               if (a.count != b.count) return a.count > b.count;
-              const uint32_t ra = names.names[a.key].lex_rank;
-              const uint32_t rb = names.names[b.key].lex_rank;
+              const uint32_t ra = names.names[a.name_key].lex_rank;
+              const uint32_t rb = names.names[b.name_key].lex_rank;
               return tie_break == TieBreak::kLexicographic ? ra < rb : ra > rb;
             });
 
-  UserGrouping grouping;
-  grouping.user = user.user;
-  grouping.profile_name_key = profile_key;
-  grouping.gps_tweet_count = static_cast<int64_t>(user.tweet_regions.size());
-  const geo::DistrictNameTable::Name& profile = names.names[profile_key];
-  grouping.ordered.reserve(merged.size());
   for (size_t i = 0; i < merged.size(); ++i) {
-    const geo::DistrictNameTable::Name& tweet = names.names[merged[i].key];
-    MergedLocationString row;
-    row.record.user = user.user;
-    row.record.profile_state = profile.state;
-    row.record.profile_county = profile.county;
-    row.record.tweet_state = tweet.state;
-    row.record.tweet_county = tweet.county;
-    row.count = merged[i].count;
-    row.name_key = merged[i].key;
-    grouping.ordered.push_back(std::move(row));
-    if (merged[i].key == profile_key && grouping.match_rank < 0) {
+    if (merged[i].name_key == grouping.profile_name_key) {
       grouping.match_rank = static_cast<int>(i) + 1;
       grouping.matched_tweet_count = merged[i].count;
+      break;
     }
   }
   grouping.group = GroupForRank(grouping.match_rank);
   return grouping;
+}
+
+MergedLocationString RenderTableRow(const UserGrouping& grouping,
+                                    const DistrictCount& row,
+                                    const geo::AdminDb& db) {
+  const std::vector<geo::DistrictNameTable::Name>& names =
+      db.district_names().names;
+  const geo::DistrictNameTable::Name& profile =
+      names[grouping.profile_name_key];
+  const geo::DistrictNameTable::Name& tweet = names[row.name_key];
+  MergedLocationString rendered;
+  rendered.record.user = grouping.user;
+  rendered.record.profile_state = profile.state;
+  rendered.record.profile_county = profile.county;
+  rendered.record.tweet_state = tweet.state;
+  rendered.record.tweet_county = tweet.county;
+  rendered.count = row.count;
+  return rendered;
 }
 
 std::vector<UserGrouping> GroupUsers(const std::vector<RefinedUser>& users,

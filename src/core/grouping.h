@@ -1,7 +1,7 @@
 #ifndef STIR_CORE_GROUPING_H_
 #define STIR_CORE_GROUPING_H_
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -32,11 +32,20 @@ const char* TopKGroupToString(TopKGroup group);
 /// Maps a 1-based matched rank (or -1 for no match) to its group.
 TopKGroup GroupForRank(int rank);
 
+/// One merged row of the paper's Table II as the grouping pass keeps it:
+/// the geo::DistrictNameTable key of the tweet district and how many of
+/// the user's GPS tweets were posted from it. RenderTableRow turns it
+/// back into the paper's string row.
+struct DistrictCount {
+  uint32_t name_key = 0;
+  int64_t count = 0;
+};
+
 /// A classified user: the Table II rows plus the derived rank/group.
 struct UserGrouping {
   twitter::UserId user = twitter::kInvalidUser;
-  /// Merged and ordered per-tweet strings (the paper's Table II).
-  std::vector<MergedLocationString> ordered;
+  /// Merged and ordered tweet districts (the paper's Table II rows).
+  std::vector<DistrictCount> ordered;
   /// 1-based rank of the matched string; -1 when absent.
   int match_rank = -1;
   TopKGroup group = TopKGroup::kNone;
@@ -49,19 +58,23 @@ struct UserGrouping {
   int64_t distinct_tweet_locations() const {
     return static_cast<int64_t>(ordered.size());
   }
-  /// Dense geo::DistrictNameTable key of the profile (state, county)
-  /// pair; kInvalidNameKey only for groupings assembled outside
-  /// GroupUser (hand-built test fixtures), which serve::StudyIndex
-  /// refuses.
-  uint32_t profile_name_key = kInvalidNameKey;
+  /// geo::DistrictNameTable key of the profile (state, county) pair.
+  uint32_t profile_name_key = 0;
 };
 
-/// Builds the text-based grouping for one refined user: renders each GPS
-/// tweet into a Table I record using the gazetteer's (state, county)
-/// names, merges, orders (breaking count ties per `tie_break`), and
-/// locates the matched string.
+/// Builds the text-based grouping for one refined user: merges the GPS
+/// tweets by the gazetteer name key of their (state, county) pair,
+/// orders the rows as the paper's Table II strings would be ordered
+/// (breaking count ties per `tie_break`), and locates the matched row.
 UserGrouping GroupUser(const RefinedUser& user, const geo::AdminDb& db,
                        TieBreak tie_break = TieBreak::kLexicographic);
+
+/// Renders `row` of `grouping` as its Table II string row, named from
+/// `db`, the gazetteer the grouping was built against:
+/// "123#Seoul#Yangcheon-gu#Seoul#Yangcheon-gu (3)" once ToString()'d.
+MergedLocationString RenderTableRow(const UserGrouping& grouping,
+                                    const DistrictCount& row,
+                                    const geo::AdminDb& db);
 
 /// Classifies every refined user. Output order always matches `users`
 /// order: with a worker-carrying `pool` each grouping is computed in

@@ -34,20 +34,11 @@ struct LocationRecord {
 
 bool operator==(const LocationRecord& a, const LocationRecord& b);
 
-/// Sentinel for MergedLocationString::name_key: entry was produced by a
-/// string-path merge and carries no gazetteer name key.
-inline constexpr uint32_t kInvalidNameKey = 0xFFFFFFFFu;
-
 /// A merged row of the paper's Table II: a distinct record with its
 /// multiplicity, e.g. "123#Seoul#...#Yangcheon-gu (4)".
 struct MergedLocationString {
   LocationRecord record;
   int64_t count = 0;
-  /// Dense geo::DistrictNameTable key of the tweet (state, county) pair,
-  /// set by the integer grouping pass in GroupUser; kInvalidNameKey when
-  /// the row came from a plain MergeAndOrder over parsed records.
-  /// serve::StudyIndex requires it and interns district names by it.
-  uint32_t name_key = kInvalidNameKey;
 
   std::string ToString() const;
 };

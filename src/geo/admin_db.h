@@ -47,7 +47,8 @@ struct Region {
 /// rendering, so the grouping pass can merge and order per-tweet
 /// districts as an integer-column operation — no per-tweet string
 /// building, no re-hashing — and still reproduce the string pipeline's
-/// order bit for bit. serve::StudyIndex reuses the same display names.
+/// order bit for bit. serve::StudyIndex names its districts by the same
+/// keys.
 struct DistrictNameTable {
   struct Name {
     std::string state;

@@ -45,12 +45,13 @@ int SetNonblocking(int fd) {
 }  // namespace
 
 EpollServer::EpollServer(serve::Server* server, const NetOptions& options)
-    : server_(server), options_(options) {
+    : server_(server),
+      options_(options),
+      max_request_bytes_(server->scheduler().options().max_request_bytes) {
   options_.max_pipeline =
       std::clamp(options_.max_pipeline, 1,
                  server_->scheduler().GuaranteedAdmissionWindow());
   options_.read_chunk_bytes = std::max<size_t>(options_.read_chunk_bytes, 512);
-  options_.max_line_bytes = std::max<size_t>(options_.max_line_bytes, 64);
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (epoll_fd_ >= 0 && wake_fd_ >= 0) {
@@ -417,7 +418,7 @@ void EpollServer::Pump(Conn* conn) {
 bool EpollServer::WantsRead(const Conn& conn) const {
   if (conn.read_closed || conn.peer_dead) return false;
   const size_t in_pending = conn.in_buf.size() - conn.in_off;
-  if (in_pending >= options_.max_line_bytes + options_.read_chunk_bytes) {
+  if (in_pending >= max_request_bytes_ + options_.read_chunk_bytes) {
     return false;
   }
   return conn.out_buf.size() - conn.out_off < kMaxOutBuffered;
@@ -437,7 +438,7 @@ void EpollServer::ReadInto(Conn* conn) {
     conn->in_buf.erase(0, conn->in_off);
     conn->in_off = 0;
   }
-  const size_t cap = options_.max_line_bytes + options_.read_chunk_bytes;
+  const size_t cap = max_request_bytes_ + options_.read_chunk_bytes;
   while (WantsRead(*conn) && conn->in_buf.size() - conn->in_off < cap) {
     const size_t old_size = conn->in_buf.size();
     conn->in_buf.resize(old_size + options_.read_chunk_bytes);
@@ -505,8 +506,9 @@ void EpollServer::FrameAndSubmit(Conn* conn) {
     const size_t pos = buf.find('\n', conn->in_off);
     if (pos == std::string::npos) {
       const size_t pending = buf.size() - conn->in_off;
-      if (pending > options_.max_line_bytes) {
-        // The line can no longer fit under the cap no matter how it ends:
+      if (pending > max_request_bytes_ + 1) {
+        // The line can no longer fit under the cap no matter how it ends
+        // (a '\r' just before its newline is not part of the request):
         // stop buffering it and count the rest as it streams past.
         conn->discarding = true;
         conn->discard_bytes = pending;
@@ -576,7 +578,7 @@ void EpollServer::EmitOversized(Conn* conn, size_t line_bytes) {
   Slot slot;
   slot.ready = true;
   slot.response =
-      serve::OversizedResponse(line_bytes, options_.max_line_bytes);
+      serve::OversizedResponse(line_bytes, max_request_bytes_);
   conn->slots.push_back(std::move(slot));
   ++conn->next_seq;
 }

@@ -35,12 +35,6 @@ struct NetOptions {
   int max_connections = 4096;
   /// recv() chunk size.
   size_t read_chunk_bytes = 16 * 1024;
-  /// Framing cap, normally = ServeOptions::max_request_bytes: a line
-  /// longer than this is answered with the same `oversized` envelope the
-  /// parser would emit, and its bytes are discarded as they arrive — the
-  /// server never buffers more than ~this per connection, no matter how
-  /// the line is split across reads.
-  size_t max_line_bytes = 64 * 1024;
   /// Testing hook: when > 0, begin a graceful drain (as if SIGTERM had
   /// arrived) right after the Nth request line has been submitted, before
   /// any later buffered line — deterministic drain coverage for the
@@ -192,6 +186,12 @@ class EpollServer {
 
   serve::Server* server_;
   NetOptions options_;
+  /// Framing cap: the server's ServeOptions::max_request_bytes, the cap
+  /// ParseRequest enforces. A longer line is answered with the same
+  /// `oversized` envelope the parser would emit, and its bytes are
+  /// discarded as they arrive — the server never buffers more than ~this
+  /// per connection, no matter how the line is split across reads.
+  const size_t max_request_bytes_;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   int listen_fd_ = -1;

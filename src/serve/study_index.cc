@@ -1,46 +1,27 @@
 #include "serve/study_index.h"
 
 #include <algorithm>
-#include <map>
-#include <utility>
 
 #include "common/logging.h"
-#include "common/string_util.h"
 
 namespace stir::serve {
 
 namespace {
 
-/// Lookup key for a (state, county) pair: ASCII-lowercased, tab-joined
-/// (tab cannot appear in gazetteer names).
-std::string DistrictKey(std::string_view state, std::string_view county) {
-  std::string key = ToLower(state);
-  key += '\t';
-  key += ToLower(county);
-  return key;
+/// The district table's order: byte order of the display names, then name
+/// key, so two keys whose displays coincide ("A B" + "C" against "A" +
+/// "B C", possible only in a custom gazetteer) stay two entries.
+bool DistrictBefore(const geo::DistrictNameTable& names, NameId a, NameId b) {
+  const int order = names.names[a].display.compare(names.names[b].display);
+  return order != 0 ? order < 0 : a < b;
 }
-
-/// Build-time accumulator for one district's postings.
-struct DistrictBuild {
-  std::string state;
-  std::string county;
-  std::vector<twitter::UserId> users;
-  int64_t gps_tweets = 0;
-  int64_t profile_users = 0;
-};
 
 }  // namespace
-
-NameId StudyIndex::Intern(const std::string& name) {
-  auto [it, inserted] =
-      name_ids_.emplace(name, static_cast<NameId>(names_.size()));
-  if (inserted) names_.push_back(name);
-  return it->second;
-}
 
 StudyIndex StudyIndex::Build(const core::StudyResult& result,
                              const geo::AdminDb& db) {
   StudyIndex index;
+  index.db_ = &db;
   if (result.incomplete) return index;
 
   index.funnel_ = result.funnel;
@@ -62,46 +43,18 @@ StudyIndex StudyIndex::Build(const core::StudyResult& result,
               return a->user < b->user;
             });
 
-  // District accumulation keyed by the display name, which sorts the
-  // district table deterministically. The transparent comparator lets
-  // the probe below use the gazetteer's display string_view.
-  std::map<std::string, DistrictBuild, std::less<>> district_builds;
-
-  // Every grouping comes from core::GroupUser, which sets the gazetteer
-  // name key of the profile and of each row, so a district's display
-  // string is interned (and its accumulator found) once per distinct key,
-  // not once per location row. The caches fill lazily, so the names_ pool
-  // and the district map grow in first-touch order.
+  // District totals per name key. A key gets an entry when a final user
+  // tweeted from it or (with at least one GPS district) lives in it.
   const geo::DistrictNameTable& names = db.district_names();
-  std::vector<NameId> name_id_of_key(names.names.size(), kInvalidName);
-  std::vector<DistrictBuild*> build_of_key(names.names.size(), nullptr);
-  auto interned_display = [&](uint32_t key) -> NameId {
-    NameId& cached = name_id_of_key[key];
-    if (cached == kInvalidName) cached = index.Intern(names.names[key].display);
-    return cached;
-  };
-  // std::map nodes are pointer-stable, so the per-key cache can hold the
-  // accumulator directly. Distinct keys whose displays collide (rare but
-  // possible: "A B"+"C" vs "A"+"B C") resolve to the same entry.
-  auto district_build_of = [&](uint32_t key) -> DistrictBuild& {
-    DistrictBuild*& cached = build_of_key[key];
-    if (cached == nullptr) {
-      const geo::DistrictNameTable::Name& name = names.names[key];
-      auto it = district_builds.find(std::string_view(name.display));
-      if (it == district_builds.end()) {
-        it = district_builds.emplace(name.display, DistrictBuild{}).first;
-        it->second.state = name.state;
-        it->second.county = name.county;
-      }
-      cached = &it->second;
-    }
-    return *cached;
+  std::vector<DistrictEntry> by_key(names.names.size());
+  auto district_of = [&](NameId key) -> DistrictEntry& {
+    STIR_CHECK_LT(key, by_key.size()) << "name key outside the gazetteer";
+    by_key[key].name = key;
+    return by_key[key];
   };
 
   index.users_.reserve(ordered.size());
   for (const core::UserGrouping* grouping : ordered) {
-    STIR_CHECK(grouping->profile_name_key != core::kInvalidNameKey)
-        << "grouping of user " << grouping->user << " has no name key";
     UserEntry entry;
     entry.user = grouping->user;
     entry.group = grouping->group;
@@ -112,99 +65,77 @@ StudyIndex StudyIndex::Build(const core::StudyResult& result,
     entry.num_locations = static_cast<uint32_t>(grouping->ordered.size());
     entry.concentration = core::ComputeConcentration(*grouping);
     if (!grouping->ordered.empty()) {
-      entry.profile_district = interned_display(grouping->profile_name_key);
+      entry.profile_district = grouping->profile_name_key;
+      ++district_of(grouping->profile_name_key).profile_users;
     }
-    for (const core::MergedLocationString& merged : grouping->ordered) {
-      STIR_CHECK(merged.name_key != core::kInvalidNameKey)
-          << "a row of user " << grouping->user << " has no name key";
-      RankedLocation location;
-      location.count = merged.count;
-      location.district = interned_display(merged.name_key);
-      location.matched = merged.name_key == grouping->profile_name_key;
-      index.locations_.push_back(location);
-      DistrictBuild& build = district_build_of(merged.name_key);
-      build.users.push_back(grouping->user);
-      build.gps_tweets += merged.count;
+    for (const core::DistrictCount& row : grouping->ordered) {
+      DistrictEntry& district = district_of(row.name_key);
+      ++district.num_users;
+      district.gps_tweets += row.count;
+      index.locations_.push_back(RankedLocation{
+          row.name_key, row.count, row.name_key == grouping->profile_name_key});
     }
-    if (!grouping->ordered.empty()) {
-      ++district_build_of(grouping->profile_name_key).profile_users;
-    }
-    index.user_ids_.emplace(entry.user,
-                            static_cast<uint32_t>(index.users_.size()));
     index.users_.push_back(entry);
   }
 
-  // District table + postings arena, both in deterministic order (the
-  // per-user pass above visits users ascending, so each posting list is
-  // already ascending and duplicate-free).
-  index.districts_.reserve(district_builds.size());
-  for (auto& [name, build] : district_builds) {
-    DistrictEntry entry;
-    entry.name = index.Intern(name);
-    entry.first_user = static_cast<uint32_t>(index.postings_.size());
-    entry.num_users = static_cast<uint32_t>(build.users.size());
-    entry.gps_tweets = build.gps_tweets;
-    entry.profile_users = build.profile_users;
-    index.postings_.insert(index.postings_.end(), build.users.begin(),
-                           build.users.end());
-    uint32_t district_index = static_cast<uint32_t>(index.districts_.size());
-    index.districts_.push_back(entry);
+  // The district table, with each posting list's slice of the arena.
+  for (const DistrictEntry& district : by_key) {
+    if (district.name != kInvalidName) index.districts_.push_back(district);
+  }
+  std::sort(index.districts_.begin(), index.districts_.end(),
+            [&](const DistrictEntry& a, const DistrictEntry& b) {
+              return DistrictBefore(names, a.name, b.name);
+            });
+  uint32_t postings = 0;
+  for (DistrictEntry& district : index.districts_) {
+    district.first_user = postings;
+    by_key[district.name].first_user = postings;  // The fill cursor below.
+    postings += district.num_users;
+  }
 
-    // Lookup keys: the canonical spelling plus every alias the gazetteer
-    // knows (alternate romanizations, hangul), so clients can query with
-    // whatever spelling the original service produced.
-    index.district_keys_.emplace(DistrictKey(build.state, build.county),
-                                 district_index);
-    auto region = db.FindCounty(build.state, build.county);
-    if (region.ok()) {
-      for (const std::string& alias : db.region(*region).aliases) {
-        index.district_keys_.emplace(DistrictKey(build.state, alias),
-                                     district_index);
-      }
-    }
-    const char* hangul =
-        geo::AdminDb::HangulCountyName(build.state, build.county);
-    if (hangul != nullptr) {
-      index.district_keys_.emplace(DistrictKey(build.state, hangul),
-                                   district_index);
+  // Postings in one pass over the users, which ascend, so each district's
+  // list ascends and holds each user once.
+  index.postings_.resize(postings);
+  for (const UserEntry& user : index.users_) {
+    for (const RankedLocation* location = index.LocationsBegin(user);
+         location != index.LocationsEnd(user); ++location) {
+      index.postings_[by_key[location->district].first_user++] = user.user;
     }
   }
   return index;
 }
 
 const UserEntry* StudyIndex::FindUser(twitter::UserId user) const {
-  auto it = user_ids_.find(user);
-  if (it == user_ids_.end()) return nullptr;
-  return &users_[it->second];
+  auto it = std::lower_bound(users_.begin(), users_.end(), user,
+                             [](const UserEntry& entry, twitter::UserId id) {
+                               return entry.user < id;
+                             });
+  if (it == users_.end() || it->user != user) return nullptr;
+  return &*it;
 }
 
 const DistrictEntry* StudyIndex::FindDistrict(std::string_view state,
                                               std::string_view county) const {
-  auto it = district_keys_.find(DistrictKey(state, county));
-  if (it == district_keys_.end()) return nullptr;
-  return &districts_[it->second];
+  if (db_ == nullptr) return nullptr;
+  auto region = db_->FindCounty(state, county);
+  if (!region.ok()) return nullptr;
+  const geo::DistrictNameTable& names = db_->district_names();
+  const NameId key = names.key_of_region[static_cast<size_t>(*region)];
+  auto it = std::lower_bound(
+      districts_.begin(), districts_.end(), key,
+      [&](const DistrictEntry& entry, NameId k) {
+        return DistrictBefore(names, entry.name, k);
+      });
+  if (it == districts_.end() || it->name != key) return nullptr;
+  return &*it;
 }
 
 int64_t StudyIndex::MemoryBytes() const {
-  int64_t bytes = 0;
-  for (const std::string& name : names_) {
-    bytes += static_cast<int64_t>(sizeof(std::string) + name.capacity());
-  }
-  for (const auto& [key, unused] : district_keys_) {
-    bytes += static_cast<int64_t>(sizeof(std::string) + key.capacity() +
-                                  sizeof(uint32_t));
-  }
-  for (const auto& [key, unused] : name_ids_) {
-    bytes += static_cast<int64_t>(sizeof(std::string) + key.capacity() +
-                                  sizeof(NameId));
-  }
-  bytes += static_cast<int64_t>(users_.size() * sizeof(UserEntry));
-  bytes += static_cast<int64_t>(user_ids_.size() *
-                                (sizeof(twitter::UserId) + sizeof(uint32_t)));
-  bytes += static_cast<int64_t>(locations_.size() * sizeof(RankedLocation));
-  bytes += static_cast<int64_t>(districts_.size() * sizeof(DistrictEntry));
-  bytes += static_cast<int64_t>(postings_.size() * sizeof(twitter::UserId));
-  return bytes;
+  const auto bytes = [](const auto& table) {
+    return static_cast<int64_t>(table.size() * sizeof(table[0]));
+  };
+  return bytes(users_) + bytes(locations_) + bytes(districts_) +
+         bytes(postings_);
 }
 
 }  // namespace stir::serve

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/concentration.h"
@@ -15,21 +14,23 @@
 
 namespace stir::serve {
 
-/// Stable handle into a StudyIndex string pool.
+/// A district's name: its geo::DistrictNameTable key in the gazetteer
+/// the index was built against (StudyIndex::name renders it).
 using NameId = uint32_t;
 inline constexpr NameId kInvalidName = 0xFFFFFFFFu;
 
 /// One ranked entry of a user's merged location list (the paper's
-/// Table II row, pre-rendered for serving).
+/// Table II row, as served).
 struct RankedLocation {
-  NameId district = kInvalidName;  ///< Interned "State County".
+  NameId district = kInvalidName;  ///< Name key of the tweet district.
   int64_t count = 0;               ///< GPS tweets from that district.
   bool matched = false;            ///< District == the profile district.
 };
 
-/// Everything the serving layer answers about one final user. Location
-/// strings live in the index's interned pool and postings arena; an entry
-/// is a fixed-size record, so the user table is one flat vector.
+/// Everything the serving layer answers about one final user. Districts
+/// are gazetteer name keys and the ranked list lives in the index's
+/// location arena; an entry is a fixed-size record, so the user table is
+/// one flat vector.
 struct UserEntry {
   twitter::UserId user = twitter::kInvalidUser;
   core::TopKGroup group = core::TopKGroup::kNone;
@@ -48,7 +49,7 @@ struct UserEntry {
 /// Per-district postings: which final users tweeted from the district,
 /// and for how many it is the profile district.
 struct DistrictEntry {
-  NameId name = kInvalidName;
+  NameId name = kInvalidName;  ///< The district's name key.
   /// [first_user, first_user + num_users) into postings(): user ids of
   /// final users with >= 1 GPS tweet from this district, ascending.
   uint32_t first_user = 0;
@@ -57,25 +58,25 @@ struct DistrictEntry {
   int64_t profile_users = 0;  ///< Final users whose profile names it.
 };
 
-/// Immutable, string-interned snapshot of a StudyResult built for
-/// concurrent read-only serving: O(1) user lookup, district → users
-/// postings lists, and the Top-k group table. Construction happens once
-/// on one thread; afterwards every member is const-safe to read from any
-/// number of threads with no synchronization — the property the serving
-/// layer's determinism guarantee rests on.
+/// Immutable snapshot of a StudyResult built for concurrent read-only
+/// serving: O(log n) user lookup, district → users postings lists, and
+/// the Top-k group table, all in flat vectors (DESIGN.md §10). Districts
+/// are named by the gazetteer's name keys, so the index holds no strings.
+/// Construction happens once on one thread; afterwards every member is
+/// const-safe to read from any number of threads with no synchronization
+/// — the property the serving layer's determinism guarantee rests on.
 ///
 /// All orderings are value-determined (users ascending, districts by
-/// name, postings ascending), never build-order-determined, so two
-/// indexes built from equal StudyResults answer byte-identically.
+/// display name, postings ascending), never build-order-determined, so
+/// two indexes built from equal StudyResults answer byte-identically.
 class StudyIndex {
  public:
-  /// Builds from a completed study. `db` resolves district aliases (the
-  /// hangul spellings, alternate romanizations) into lookup keys; it is
-  /// only read during Build and not retained. `result.incomplete` runs
-  /// (a crashed study that has not been resumed to completion) are
-  /// rejected by returning an empty index — callers check via empty().
-  /// Every grouping must come from core::GroupUser, which sets the
-  /// profile's and each row's gazetteer name key (checked).
+  /// Builds from a completed study whose groupings were made against
+  /// `db`, which names the districts and must outlive the index. A row
+  /// or profile key outside db's name table fails a check.
+  /// `result.incomplete` runs (a crashed study that has not been resumed
+  /// to completion) are rejected by returning an empty index — callers
+  /// check via empty().
   static StudyIndex Build(const core::StudyResult& result,
                           const geo::AdminDb& db);
 
@@ -89,12 +90,14 @@ class StudyIndex {
   size_t user_count() const { return users_.size(); }
   size_t district_count() const { return districts_.size(); }
 
-  /// O(1) by user id; nullptr for users outside the final sample.
+  /// O(log users) by user id; nullptr for users outside the final sample.
   const UserEntry* FindUser(twitter::UserId user) const;
 
-  /// District by (state, county), ASCII-case-insensitive, consulting the
-  /// gazetteer aliases captured at build time. nullptr when absent or no
-  /// final user tweeted from / lives in it.
+  /// District by (state, county), resolved through
+  /// geo::AdminDb::FindCounty: ASCII-case-insensitive, and any alias the
+  /// gazetteer knows (alternate romanizations, hangul) names its district.
+  /// nullptr when the pair is unknown, when no final user tweeted from or
+  /// lives in the district, and for a default-constructed index.
   const DistrictEntry* FindDistrict(std::string_view state,
                                     std::string_view county) const;
 
@@ -115,10 +118,13 @@ class StudyIndex {
     return postings_.data() + entry.first_user + entry.num_users;
   }
 
-  /// Interned string by id ("State County").
-  const std::string& name(NameId id) const { return names_[id]; }
+  /// A district's display name ("State County").
+  const std::string& name(NameId id) const {
+    return db_->district_names().names[id].display;
+  }
 
-  /// Districts in name order (deterministic iteration for summaries).
+  /// Districts in byte order of their display names, then by name key
+  /// (deterministic iteration for summaries).
   const std::vector<DistrictEntry>& districts() const { return districts_; }
   const std::vector<UserEntry>& users() const { return users_; }
 
@@ -134,18 +140,11 @@ class StudyIndex {
   int64_t MemoryBytes() const;
 
  private:
-  NameId Intern(const std::string& name);
-
-  std::vector<std::string> names_;  ///< Interned pool; NameId indexes it.
-  std::unordered_map<std::string, NameId> name_ids_;  ///< Build + lookup.
-  /// Lowercased "state\tcounty" (canonical and alias spellings) → index
-  /// into districts_.
-  std::unordered_map<std::string, uint32_t> district_keys_;
-
+  /// Names the districts; null only for a default-constructed index.
+  const geo::AdminDb* db_ = nullptr;
   std::vector<UserEntry> users_;  ///< Ascending user id.
-  std::unordered_map<twitter::UserId, uint32_t> user_ids_;
   std::vector<RankedLocation> locations_;  ///< Arena for UserEntry spans.
-  std::vector<DistrictEntry> districts_;   ///< Ascending by name.
+  std::vector<DistrictEntry> districts_;   ///< See districts().
   std::vector<twitter::UserId> postings_;  ///< Arena for DistrictEntry.
 
   core::GroupStats groups_[core::kNumTopKGroups] = {};

@@ -1,10 +1,24 @@
 #include "twitter/dataset.h"
 
+#include <charconv>
+
 #include "common/csv.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
 namespace stir::twitter {
+
+namespace {
+
+/// The shortest text that strtod parses back to exactly `value`.
+std::string RoundTripText(double value) {
+  char buf[32];
+  const std::to_chars_result written =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, written.ptr);
+}
+
+}  // namespace
 
 void Dataset::AddUser(User user) {
   STIR_CHECK(user_index_.find(user.id) == user_index_.end())
@@ -59,8 +73,8 @@ Status Dataset::SaveTsv(const std::string& users_path,
   for (const Tweet& tweet : tweets_) {
     std::string lat, lng;
     if (tweet.gps.has_value()) {
-      lat = StrFormat("%.6f", tweet.gps->lat);
-      lng = StrFormat("%.6f", tweet.gps->lng);
+      lat = RoundTripText(tweet.gps->lat);
+      lng = RoundTripText(tweet.gps->lng);
     }
     tweet_rows.push_back({StrFormat("%lld", static_cast<long long>(tweet.id)),
                           StrFormat("%lld", static_cast<long long>(tweet.user)),

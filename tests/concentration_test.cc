@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/string_util.h"
 #include "core/study.h"
 #include "twitter/generator.h"
 
@@ -12,20 +11,21 @@ namespace {
 UserGrouping GroupingWithCounts(twitter::UserId user,
                                 const std::vector<int64_t>& counts,
                                 int match_rank) {
+  // Row i names district key i; the profile is the matched row's key,
+  // or a key no row has.
   UserGrouping grouping;
   grouping.user = user;
   grouping.match_rank = match_rank;
   grouping.group = GroupForRank(match_rank);
+  grouping.profile_name_key = static_cast<uint32_t>(
+      match_rank > 0 ? match_rank - 1 : static_cast<int>(counts.size()));
   for (size_t i = 0; i < counts.size(); ++i) {
-    const bool matched =
-        match_rank > 0 && static_cast<int>(i) == match_rank - 1;
-    MergedLocationString merged;
-    merged.record = LocationRecord{user, "S", "P", "S",
-                                   matched ? "P" : StrFormat("C%zu", i)};
-    if (matched) grouping.matched_tweet_count = counts[i];
-    merged.count = counts[i];
+    if (i == grouping.profile_name_key) {
+      grouping.matched_tweet_count = counts[i];
+    }
     grouping.gps_tweet_count += counts[i];
-    grouping.ordered.push_back(std::move(merged));
+    grouping.ordered.push_back(
+        DistrictCount{static_cast<uint32_t>(i), counts[i]});
   }
   return grouping;
 }

@@ -83,29 +83,24 @@ TEST_F(CorpusReaderTest, EveryFormatDecodesTheSameCorpus) {
   ASSERT_TRUE(arena.ok()) << arena.status().ToString();
   EXPECT_EQ(arena->format(), CorpusFormat::kArenaV3);
 
-  // Each view holds its source's rows, field for field: the TSV pair's
-  // decoded rows (the text format rounds coordinates) and the dataset
-  // the arena was written from.
-  auto decoded = twitter::Dataset::LoadTsv(users_tsv_, tweets_tsv_);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  // Each view holds the rows of the dataset both files were written
+  // from, field for field (the TSV pair round-trips its coordinates).
   const twitter::Dataset& d = data_->dataset;
-  using Source = std::pair<const CorpusReader*, const twitter::Dataset*>;
-  for (const auto& [reader, source] :
-       {Source{&*tsv, &*decoded}, Source{&*arena, &d}}) {
+  for (const CorpusReader* reader : {&*tsv, &*arena}) {
     const CorpusView& view = reader->view();
     ASSERT_EQ(view.user_count(), d.users().size());
     ASSERT_EQ(view.tweet_count(), d.tweets().size());
     EXPECT_EQ(view.gps_tweet_count(), d.gps_tweet_count());
     EXPECT_EQ(view.total_tweet_count(), d.total_tweet_count());
     for (size_t row = 0; row < view.user_count(); ++row) {
-      const twitter::User& want = source->users()[row];
+      const twitter::User& want = d.users()[row];
       EXPECT_EQ(view.user_id(row), want.id);
       EXPECT_EQ(view.user_handle(row), want.handle);
       EXPECT_EQ(view.user_profile_location(row), want.profile_location);
       EXPECT_EQ(view.user_total_tweets(row), want.total_tweets);
     }
     for (size_t row = 0; row < view.tweet_count(); ++row) {
-      const twitter::Tweet& want = source->tweets()[row];
+      const twitter::Tweet& want = d.tweets()[row];
       const twitter::Tweet got = view.MaterializeTweet(row);
       EXPECT_EQ(got.id, want.id);
       EXPECT_EQ(got.user, want.user);

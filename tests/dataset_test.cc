@@ -52,8 +52,9 @@ TEST(DatasetTest, TsvRoundTrip) {
   Dataset dataset;
   dataset.AddUser(MakeUser(1, "Seoul Gangnam-gu", 7));
   dataset.AddUser(MakeUser(2, "my\thome", 3));  // delimiter in field
-  dataset.AddTweet(
-      MakeTweet(5, 1, 42, geo::LatLng{37.517, 127.047}, "at Gangnam"));
+  // Full-precision coordinates, as the generator makes them.
+  const geo::LatLng fix{37.517034567891234, 127.04712345678901};
+  dataset.AddTweet(MakeTweet(5, 1, 42, fix, "at Gangnam"));
   dataset.AddTweet(MakeTweet(6, 2, 43, std::nullopt, "plain tweet"));
 
   std::string users_path = ::testing::TempDir() + "/stir_users.tsv";
@@ -68,8 +69,8 @@ TEST(DatasetTest, TsvRoundTrip) {
   EXPECT_EQ(loaded->gps_tweet_count(), 1);
   const Tweet& gps_tweet = loaded->tweets()[0];
   ASSERT_TRUE(gps_tweet.gps.has_value());
-  EXPECT_NEAR(gps_tweet.gps->lat, 37.517, 1e-6);
-  EXPECT_NEAR(gps_tweet.gps->lng, 127.047, 1e-6);
+  EXPECT_EQ(gps_tweet.gps->lat, fix.lat);
+  EXPECT_EQ(gps_tweet.gps->lng, fix.lng);
   EXPECT_EQ(gps_tweet.text, "at Gangnam");
 
   std::remove(users_path.c_str());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 
@@ -170,9 +171,9 @@ TEST_P(GroupingPropertyTest, InvariantsHoldForRandomUsers) {
     if (grouping.match_rank > 0) {
       EXPECT_LE(grouping.match_rank,
                 static_cast<int>(grouping.ordered.size()));
-      EXPECT_TRUE(grouping
-                      .ordered[static_cast<size_t>(grouping.match_rank - 1)]
-                      .record.IsMatched());
+      EXPECT_EQ(grouping.ordered[static_cast<size_t>(grouping.match_rank - 1)]
+                    .name_key,
+                grouping.profile_name_key);
       EXPECT_GT(grouping.matched_tweet_count, 0);
     } else {
       EXPECT_EQ(grouping.matched_tweet_count, 0);
@@ -180,6 +181,26 @@ TEST_P(GroupingPropertyTest, InvariantsHoldForRandomUsers) {
     // 5. Ordered counts are non-increasing.
     for (size_t i = 1; i < grouping.ordered.size(); ++i) {
       EXPECT_LE(grouping.ordered[i].count, grouping.ordered[i - 1].count);
+    }
+    // 6. Rendered, the rows are the string path's Table II: MergeAndOrder
+    //    over the user's Table I records, under either tie rule.
+    const geo::Region& profile = db.region(user.profile_region);
+    std::vector<LocationRecord> records;
+    for (geo::RegionId region : user.tweet_regions) {
+      records.push_back(LocationRecord{user.user, profile.state,
+                                       profile.county, db.region(region).state,
+                                       db.region(region).county});
+    }
+    for (TieBreak tie_break :
+         {TieBreak::kLexicographic, TieBreak::kReverseLexicographic}) {
+      const UserGrouping keyed = GroupUser(user, db, tie_break);
+      const std::vector<MergedLocationString> strings =
+          MergeAndOrder(records, tie_break);
+      ASSERT_EQ(keyed.ordered.size(), strings.size());
+      for (size_t i = 0; i < strings.size(); ++i) {
+        EXPECT_EQ(RenderTableRow(keyed, keyed.ordered[i], db).ToString(),
+                  strings[i].ToString());
+      }
     }
   }
 }

@@ -645,13 +645,57 @@ TEST_F(NetServerTest, OversizedLineSplitAcrossReadsGetsExactEnvelope) {
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_EQ(ResponseErrorCode(responses[0]), "oversized");
   EXPECT_EQ(responses[0],
-            serve::OversizedResponse(kLineBytes, net_options.max_line_bytes));
+            serve::OversizedResponse(kLineBytes, options.max_request_bytes));
   EXPECT_EQ(ResponseId(responses[1]), 5);
   net.Stop();
   NetStats stats = net.stats();
   EXPECT_EQ(stats.oversized, 1);
   // The framer never buffered the whole line.
   EXPECT_EQ(stats.bytes_in, static_cast<int64_t>(payload.size()));
+}
+
+TEST_F(NetServerTest, FramingCapIsTheServeRequestCap) {
+  // One cap: the framer rejects at ServeOptions::max_request_bytes, with
+  // the envelope the stdio path's ParseRequest emits for the same line,
+  // and a request of exactly the cap passes even when its "\r\n" is
+  // split across reads.
+  ServeOptions options;
+  options.workers = 1;
+  options.max_request_bytes = 100;
+  Server server(index_, options);
+  EpollServer net(&server, NetOptions{});
+  ASSERT_TRUE(net.Listen(0).ok());
+  ASSERT_TRUE(net.Start().ok());
+
+  const size_t kLineBytes = 150;
+  std::string at_cap = "{\"v\":1,\"id\":5,\"method\":\"topk_summary\"}";
+  at_cap.resize(options.max_request_bytes, ' ');
+  // Each part's bytes arrive before the newline that ends them, so the
+  // framer, not the parser, sees the lines first.
+  const std::vector<std::string> parts = {std::string(kLineBytes, 'x'),
+                                          "\n" + at_cap + "\r", "\n"};
+  std::string payload;
+  for (const std::string& part : parts) payload += part;
+  const std::string expected = SoloResponses(payload, options);
+
+  Client client;
+  ASSERT_TRUE(client.Connect(net.port()));
+  int64_t sent = 0;
+  for (const std::string& part : parts) {
+    ASSERT_TRUE(client.Send(part));
+    sent += static_cast<int64_t>(part.size());
+    ASSERT_TRUE(WaitFor([&] { return net.stats().bytes_in >= sent; }));
+  }
+  client.ShutdownWrite();
+  const std::string received = client.ReadAll();
+  EXPECT_EQ(received, expected);
+
+  std::vector<std::string> responses = SplitLines(received);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0], serve::OversizedResponse(kLineBytes, 100));
+  EXPECT_EQ(ResponseId(responses[1]), 5);
+  net.Stop();
+  EXPECT_EQ(net.stats().oversized, 1);
 }
 
 TEST_F(NetServerTest, PipelinedGarbageAfterValidRequestIsContained) {

@@ -94,11 +94,11 @@ void ExpectIdenticalResults(const StudyResult& serial,
     EXPECT_EQ(a.group, b.group);
     EXPECT_EQ(a.gps_tweet_count, b.gps_tweet_count);
     EXPECT_EQ(a.matched_tweet_count, b.matched_tweet_count);
+    EXPECT_EQ(a.profile_name_key, b.profile_name_key);
     ASSERT_EQ(a.ordered.size(), b.ordered.size());
     for (size_t j = 0; j < a.ordered.size(); ++j) {
       EXPECT_EQ(a.ordered[j].count, b.ordered[j].count);
-      EXPECT_TRUE(a.ordered[j].record == b.ordered[j].record)
-          << a.ordered[j].ToString() << " vs " << b.ordered[j].ToString();
+      EXPECT_EQ(a.ordered[j].name_key, b.ordered[j].name_key);
     }
   }
 }

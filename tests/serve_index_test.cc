@@ -6,6 +6,7 @@
 #include "serve/study_index.h"
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -78,17 +79,25 @@ TEST_F(StudyIndexTest, UsersAreValueOrdered) {
   }
 }
 
+/// A grouping row as the paper's Table II record.
+core::LocationRecord Record(const core::UserGrouping& grouping,
+                            const core::DistrictCount& row) {
+  return core::RenderTableRow(grouping, row, AdminDb::KoreanDistricts())
+      .record;
+}
+
 TEST_F(StudyIndexTest, LocationsMirrorRankedLists) {
   for (const core::UserGrouping& grouping : result_->groupings) {
     const UserEntry* entry = index_->FindUser(grouping.user);
     ASSERT_NE(entry, nullptr);
     const RankedLocation* location = index_->LocationsBegin(*entry);
-    for (const core::MergedLocationString& merged : grouping.ordered) {
+    for (const core::DistrictCount& row : grouping.ordered) {
       ASSERT_NE(location, index_->LocationsEnd(*entry));
+      const core::LocationRecord record = Record(grouping, row);
       EXPECT_EQ(index_->name(location->district),
-                merged.record.tweet_state + " " + merged.record.tweet_county);
-      EXPECT_EQ(location->count, merged.count);
-      EXPECT_EQ(location->matched, merged.record.IsMatched());
+                record.tweet_state + " " + record.tweet_county);
+      EXPECT_EQ(location->count, row.count);
+      EXPECT_EQ(location->matched, record.IsMatched());
       ++location;
     }
     EXPECT_EQ(location, index_->LocationsEnd(*entry));
@@ -120,11 +129,12 @@ TEST_F(StudyIndexTest, PostingsAscendingAndDupFree) {
 
 TEST_F(StudyIndexTest, EveryTweetDistrictIsFindable) {
   for (const core::UserGrouping& grouping : result_->groupings) {
-    for (const core::MergedLocationString& merged : grouping.ordered) {
-      const DistrictEntry* district = index_->FindDistrict(
-          merged.record.tweet_state, merged.record.tweet_county);
+    for (const core::DistrictCount& row : grouping.ordered) {
+      const core::LocationRecord record = Record(grouping, row);
+      const DistrictEntry* district =
+          index_->FindDistrict(record.tweet_state, record.tweet_county);
       ASSERT_NE(district, nullptr)
-          << merged.record.tweet_state << " " << merged.record.tweet_county;
+          << record.tweet_state << " " << record.tweet_county;
       const twitter::UserId* begin = index_->PostingsBegin(*district);
       const twitter::UserId* end = index_->PostingsEnd(*district);
       EXPECT_TRUE(std::binary_search(begin, end, grouping.user));
@@ -134,8 +144,9 @@ TEST_F(StudyIndexTest, EveryTweetDistrictIsFindable) {
 
 TEST_F(StudyIndexTest, DistrictLookupIsCaseInsensitive) {
   ASSERT_FALSE(result_->groupings.empty());
-  const core::LocationRecord& record =
-      result_->groupings.front().ordered.front().record;
+  const core::UserGrouping& grouping = result_->groupings.front();
+  const core::LocationRecord record =
+      Record(grouping, grouping.ordered.front());
   const DistrictEntry* exact =
       index_->FindDistrict(record.tweet_state, record.tweet_county);
   ASSERT_NE(exact, nullptr);
@@ -150,13 +161,13 @@ TEST_F(StudyIndexTest, DistrictLookupAcceptsHangulAlias) {
   // Find any indexed district the gazetteer has a hangul spelling for.
   bool tested = false;
   for (const core::UserGrouping& grouping : result_->groupings) {
-    for (const core::MergedLocationString& merged : grouping.ordered) {
+    for (const core::DistrictCount& row : grouping.ordered) {
+      const core::LocationRecord record = Record(grouping, row);
       const char* hangul = geo::AdminDb::HangulCountyName(
-          merged.record.tweet_state, merged.record.tweet_county);
+          record.tweet_state, record.tweet_county);
       if (hangul == nullptr) continue;
-      EXPECT_EQ(index_->FindDistrict(merged.record.tweet_state, hangul),
-                index_->FindDistrict(merged.record.tweet_state,
-                                     merged.record.tweet_county));
+      EXPECT_EQ(index_->FindDistrict(record.tweet_state, hangul),
+                index_->FindDistrict(record.tweet_state, record.tweet_county));
       tested = true;
     }
   }
@@ -209,6 +220,128 @@ TEST_F(StudyIndexTest, IncompleteStudyYieldsEmptyIndex) {
 TEST_F(StudyIndexTest, MemoryBytesIsPositiveAndStable) {
   EXPECT_GT(index_->MemoryBytes(), 0);
   EXPECT_EQ(index_->MemoryBytes(), index_->MemoryBytes());
+}
+
+TEST(StudyIndexLookupTest, DefaultIndexAnswersNull) {
+  const StudyIndex index;
+  EXPECT_EQ(index.FindDistrict("Seoul", "Gangnam-gu"), nullptr);
+  EXPECT_EQ(index.FindDistrict("", ""), nullptr);
+  EXPECT_EQ(index.FindUser(1), nullptr);
+  EXPECT_EQ(index.FindUser(-1), nullptr);
+}
+
+/// ASCII upper case; other bytes (hangul) pass through.
+std::string AsciiUpper(std::string text) {
+  for (char& c : text) {
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+  }
+  return text;
+}
+
+/// Every spelling of every region of each built-in gazetteer — the county,
+/// each alias and the hangul name, under the romanized state, as written
+/// and in upper case — finds that region's district, or nothing when no
+/// user of the index tweeted from or lives in it. The index is built from
+/// a hand-made result: region i gets a final user who lives and tweets
+/// there, except every fourth region, whose user lives there but tweets
+/// from region i - 1 (a profile-only district), and every seventh, which
+/// gets no user.
+TEST(StudyIndexLookupTest, EverySpellingOfEveryRegionFindsItsDistrict) {
+  for (const AdminDb* db :
+       {&AdminDb::KoreanDistricts(), &AdminDb::WorldCities()}) {
+    const geo::DistrictNameTable& names = db->district_names();
+    core::StudyResult result;
+    std::map<uint32_t, int64_t> users_of_key, profile_users_of_key;
+    for (geo::RegionId region = 0; static_cast<size_t>(region) < db->size();
+         ++region) {
+      if (region % 7 == 6) continue;
+      core::RefinedUser user;
+      user.user = 1000 + region;
+      user.profile_region = region;
+      user.tweet_regions = {region % 4 == 3 ? region - 1 : region};
+      result.groupings.push_back(core::GroupUser(user, *db));
+      ++users_of_key[names.key_of_region[user.tweet_regions[0]]];
+      ++profile_users_of_key[names.key_of_region[region]];
+    }
+    result.final_users = static_cast<int64_t>(result.groupings.size());
+    const StudyIndex index = StudyIndex::Build(result, *db);
+    ASSERT_EQ(index.user_count(), result.groupings.size());
+
+    int profile_only = 0;
+    for (const geo::Region& region : db->regions()) {
+      const uint32_t key = names.key_of_region[region.id];
+      const int64_t users = users_of_key[key];
+      const int64_t profile_users = profile_users_of_key[key];
+      profile_only += users == 0 && profile_users > 0;
+      std::vector<std::string> counties = {region.county};
+      counties.insert(counties.end(), region.aliases.begin(),
+                      region.aliases.end());
+      if (const char* hangul =
+              AdminDb::HangulCountyName(region.state, region.county)) {
+        counties.push_back(hangul);
+      }
+      for (const std::string& county : counties) {
+        for (const auto& [state, spelled] :
+             {std::pair(region.state, county),
+              std::pair(AsciiUpper(region.state), AsciiUpper(county))}) {
+          const DistrictEntry* entry = index.FindDistrict(state, spelled);
+          if (users == 0 && profile_users == 0) {
+            EXPECT_EQ(entry, nullptr) << state << " / " << spelled;
+            continue;
+          }
+          ASSERT_NE(entry, nullptr) << state << " / " << spelled;
+          EXPECT_EQ(index.name(entry->name), names.names[key].display);
+          EXPECT_EQ(entry->num_users, users) << state << " / " << spelled;
+          EXPECT_EQ(entry->profile_users, profile_users)
+              << state << " / " << spelled;
+        }
+      }
+    }
+    EXPECT_GT(profile_only, 0);
+  }
+}
+
+/// Two name keys whose display strings coincide ("A B" + "C" against
+/// "A" + "B C") are two districts, each found under its own pair, in key
+/// order.
+TEST(StudyIndexLookupTest, CollidingDisplaysStayTwoDistricts) {
+  std::vector<geo::Region> regions(2);
+  regions[0].state = "A B";
+  regions[0].county = "C";
+  regions[0].centroid = geo::LatLng{10.0, 10.0};
+  regions[1].state = "A";
+  regions[1].county = "B C";
+  regions[1].centroid = geo::LatLng{10.0, 11.0};
+  const AdminDb db(regions, 25.0);
+
+  core::StudyResult result;
+  core::RefinedUser first;
+  first.user = 1;
+  first.profile_region = 0;
+  first.tweet_regions = {0, 0};
+  core::RefinedUser second;
+  second.user = 2;
+  second.profile_region = 1;
+  second.tweet_regions = {1};
+  result.groupings = {core::GroupUser(first, db), core::GroupUser(second, db)};
+  const StudyIndex index = StudyIndex::Build(result, db);
+
+  ASSERT_EQ(index.district_count(), 2u);
+  const DistrictEntry* a_b = index.FindDistrict("A B", "C");
+  const DistrictEntry* a = index.FindDistrict("a", "b c");
+  ASSERT_NE(a_b, nullptr);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a_b, &index.districts()[0]);
+  EXPECT_EQ(a, &index.districts()[1]);
+  for (const DistrictEntry* district : {a_b, a}) {
+    EXPECT_EQ(index.name(district->name), "A B C");
+    EXPECT_EQ(district->num_users, 1u);
+    EXPECT_EQ(district->profile_users, 1);
+  }
+  EXPECT_EQ(a_b->gps_tweets, 2);
+  EXPECT_EQ(*index.PostingsBegin(*a_b), 1);
+  EXPECT_EQ(a->gps_tweets, 1);
+  EXPECT_EQ(*index.PostingsBegin(*a), 2);
 }
 
 }  // namespace

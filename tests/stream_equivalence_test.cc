@@ -287,15 +287,17 @@ std::string EvidenceFingerprint(const infer::InferenceIndex& index) {
   return out.str();
 }
 
-/// A grouping and its refined row, rendered whole.
-std::string GroupingRow(const core::UserGrouping& grouping) {
+/// A grouping and its refined row, rendered whole: the Table II rows as
+/// text, named from `db`.
+std::string GroupingRow(const core::UserGrouping& grouping,
+                        const AdminDb& db) {
   std::string row = std::to_string(grouping.user) + ' ' +
                     core::TopKGroupToString(grouping.group) + ' ' +
                     std::to_string(grouping.match_rank) + ' ' +
                     std::to_string(grouping.gps_tweet_count) + ' ' +
                     std::to_string(grouping.matched_tweet_count);
-  for (const core::MergedLocationString& merged : grouping.ordered) {
-    row += " | " + merged.ToString();
+  for (const core::DistrictCount& district : grouping.ordered) {
+    row += " | " + core::RenderTableRow(grouping, district, db).ToString();
   }
   return row;
 }
@@ -552,10 +554,10 @@ TEST_F(StreamEquivalenceTest, InterleavedArrivalsMatchBatchAtEverySeal) {
         const core::StudyResult snapshot = engine.SnapshotResult();
         std::vector<std::string> got_rows, want_rows;
         for (const core::UserGrouping& grouping : snapshot.groupings) {
-          got_rows.push_back(GroupingRow(grouping));
+          got_rows.push_back(GroupingRow(grouping, *db_));
         }
         for (const core::UserGrouping& grouping : want.result.groupings) {
-          want_rows.push_back(GroupingRow(grouping));
+          want_rows.push_back(GroupingRow(grouping, *db_));
         }
         EXPECT_EQ(got_rows, want_rows) << label;
         got_rows.clear();

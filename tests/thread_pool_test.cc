@@ -73,6 +73,26 @@ TEST(ThreadPoolTest, SingleWorkerRunsTasksInSubmissionOrder) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
 }
 
+// A caller that has waited on a task's future reads it counted: the
+// pool records completion before the future becomes ready, also for a
+// task that throws.
+TEST(ThreadPoolTest, TaskIsCountedBeforeItsFutureIsReady) {
+  obs::MetricsRegistry metrics;
+  ThreadPool pool(1, &metrics);
+  const obs::Counter* submitted = metrics.GetCounter("pool.tasks_submitted");
+  const obs::Counter* completed = metrics.GetCounter("pool.tasks_completed");
+  const obs::Counter* worker = metrics.GetCounter("pool.worker.0.tasks");
+  for (int round = 0; round < 20'000; ++round) {
+    pool.Submit([] {}).get();
+    ASSERT_EQ(completed->value(), submitted->value()) << "round " << round;
+    ASSERT_EQ(worker->value(), submitted->value()) << "round " << round;
+  }
+  EXPECT_THROW(pool.Submit([] { throw std::runtime_error("boom"); }).get(),
+               std::runtime_error);
+  EXPECT_EQ(completed->value(), submitted->value());
+  EXPECT_EQ(worker->value(), submitted->value());
+}
+
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
   std::atomic<int> counter{0};
   {

@@ -287,7 +287,6 @@ int main(int argc, char** argv) {
     stir::net::NetOptions net_options;
     net_options.max_pipeline = static_cast<int>(max_pipeline);
     net_options.max_connections = static_cast<int>(max_connections);
-    net_options.max_line_bytes = serve_options.max_request_bytes;
     net_options.drain_after_lines = drain_after;
     net_options.metrics = &metrics;
     stir::net::EpollServer net(server.get(), net_options);
